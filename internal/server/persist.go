@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,48 +34,123 @@ import (
 // policy: manifestVersion guards the manifest schema, and each shard blob
 // carries the library's own versioned filter-block header, so either layer
 // can evolve independently; readers reject versions they do not know.
-//
-// Manifest history:
-//
-//	v1 — hash-era: options without a partitioning record, shard entries
-//	     without per-shard key counts. Still restorable: restore defaults
-//	     the partitioning to hash (the only routing that existed when v1
-//	     was written) and leaves per-shard key counters at zero.
-//	v2 — options carry "partitioning" so a restored filter keeps its
-//	     routing, and each shard entry records its resident key count so
-//	     the skew gauges survive a restart.
-//	v3 — the manifest records "wal_pos", the write-ahead-log position the
-//	     snapshot covers: every WAL record below it is contained in the
-//	     shard blobs, so boot recovery replays only the log tail from
-//	     there (durability.go). v1/v2 manifests restore with wal_pos 0
-//	     (replay everything retained — idempotent, just slower).
-//	v4 — options carry "backend" (bloomrf/bloom/rosetta/surf), so a
-//	     restored filter rebuilds its shards with the right filter
-//	     implementation and blob codec (backend.go). v1–v3 manifests
-//	     predate the field and restore as bloomRF — the only backend
-//	     those eras could have written; one claiming a backend is
-//	     corrupt.
-//	v5 — live span splits (split.go). The manifest records "spans", the
-//	     span-start table of a range-partitioned filter, required once a
-//	     split has made the spans non-uniform (a v5 range manifest
-//	     without one is corrupt; a hash manifest with one is corrupt),
-//	     and each shard entry records "mut", the shard's mutation epoch
-//	     at capture, which lets the next snapshot pass of the same
-//	     process reuse the blob of any shard whose epoch has not moved
-//	     (incremental dirty-shard snapshots). Mut is process-local
-//	     bookkeeping: restore ignores it, and pre-v5 manifests claiming
-//	     either field are corrupt.
-//	v6 — failover (failover.go). The manifest records "epoch", the
-//	     promotion epoch the writing server was serving at — 1 for a
-//	     server that was never part of a failover — so a node restarted
-//	     from snapshots alone (WAL truncated past its epoch record, or a
-//	     standby's promotion target) still knows which era its state
-//	     belongs to. v6 writers always record it; a pre-v6 manifest
-//	     claiming one, or a v6 manifest without one, is corrupt.
+
+// manifestField is one manifest field that a format version after the
+// first introduced: the version it arrived in, how a reader tells it is
+// present, the check it must pass from that version on, and the value it
+// takes in a manifest written before it existed. loadManifest applies one
+// rule to every row, and Manifest.Downgrade uses the rows to reproduce an
+// older writer's shape.
+type manifestField struct {
+	name  string
+	since int // the format_version that introduced the field
+	// present reports whether the manifest carries the field. Nil for a
+	// field readers never judge before its era.
+	present func(*Manifest) bool
+	// valid is the check the field must pass from since on; nil accepts
+	// any value, absence included.
+	valid func(*Manifest) bool
+	// setDefault fills in the pre-era value; nil when that is the zero
+	// value an absent field already has.
+	setDefault func(*Manifest)
+	// clear removes the field.
+	clear func(*Manifest)
+}
+
+// oldestManifestVersion is the hash-era schema every row of manifestFields
+// builds on: options without a partitioning record, shard entries with
+// only file, size and CRC.
+const oldestManifestVersion = 1
+
+// manifestFields is the manifest's era table, ordered by version. The next
+// format bump is one more row; manifestVersion follows it.
+var manifestFields = []manifestField{
+	// v2: the routing mode, so a restored filter keeps its routing.
+	// Required from v2 on; v1 restores as hash, the only routing that
+	// existed when it was written.
+	{
+		name: "partitioning", since: 2,
+		present:    func(m *Manifest) bool { return m.Options.Partitioning != "" },
+		valid:      func(m *Manifest) bool { return m.Options.Partitioning.Valid() },
+		setDefault: func(m *Manifest) { m.Options.Partitioning = PartitionHash },
+		clear:      func(m *Manifest) { m.Options.Partitioning = "" },
+	},
+	// v2: each shard's resident key count, so the skew gauges survive a
+	// restart. Stats-only, and readers have always taken a count wherever
+	// one appears; v1 restores with the counters at zero.
+	{
+		name: "keys", since: 2,
+		clear: func(m *Manifest) {
+			for i := range m.Shards {
+				m.Shards[i].Keys = 0
+			}
+		},
+	},
+	// v3: the write-ahead-log position the snapshot covers, so boot
+	// recovery replays only the log tail from there (durability.go).
+	// Earlier eras restore with 0: replay everything retained, which is
+	// idempotent, just slower.
+	{
+		name: "wal_pos", since: 3,
+		present: func(m *Manifest) bool { return m.WALPos != 0 },
+		clear:   func(m *Manifest) { m.WALPos = 0 },
+	},
+	// v4: the filter backend (backend.go), so a restored filter rebuilds
+	// its shards with the right implementation and blob codec. Required
+	// from v4 on; earlier eras restore as bloomRF, the only backend they
+	// could have written.
+	{
+		name: "backend", since: 4,
+		present:    func(m *Manifest) bool { return m.Options.Backend != "" },
+		valid:      func(m *Manifest) bool { return validBackend(m.Options.Backend) },
+		setDefault: func(m *Manifest) { m.Options.Backend = BackendBloomRF },
+		clear:      func(m *Manifest) { m.Options.Backend = "" },
+	},
+	// v5: the span-start table (split.go). Required under range
+	// partitioning, where splits make the spans non-uniform; forbidden
+	// under hash; one span per shard, tiling the keyspace. Earlier eras
+	// restore with nil, which divides the keyspace evenly: the only
+	// topology they could have had.
+	{
+		name: "spans", since: 5,
+		present: func(m *Manifest) bool { return m.Spans != nil },
+		valid: func(m *Manifest) bool {
+			if m.Options.Partitioning != PartitionRange {
+				return m.Spans == nil
+			}
+			return len(m.Spans) == len(m.Shards) && validateSpans(m.Spans) == nil
+		},
+		clear: func(m *Manifest) { m.Spans = nil },
+	},
+	// v5: each shard's mutation epoch at capture, which lets the next
+	// snapshot pass of the same process reuse unchanged blobs. Process-local:
+	// restore ignores it, and earlier eras restore with 0.
+	{
+		name: "mut", since: 5,
+		present: func(m *Manifest) bool {
+			return slices.ContainsFunc(m.Shards, func(e ShardEntry) bool { return e.Mut != 0 })
+		},
+		clear: func(m *Manifest) {
+			for i := range m.Shards {
+				m.Shards[i].Mut = 0
+			}
+		},
+	},
+	// v6: the promotion epoch of the writing server (failover.go), so a
+	// node restarted from snapshots alone still knows which era its state
+	// belongs to. Required from v6 on; earlier eras restore with 0,
+	// pre-failover history that any real epoch supersedes.
+	{
+		name: "epoch", since: 6,
+		present: func(m *Manifest) bool { return m.Epoch != 0 },
+		valid:   func(m *Manifest) bool { return m.Epoch != 0 },
+		clear:   func(m *Manifest) { m.Epoch = 0 },
+	},
+}
 
 // manifestVersion is the snapshot manifest schema version written by this
-// build. Older versions named in loadManifest remain readable.
-const manifestVersion = 6
+// build: the newest era in manifestFields.
+var manifestVersion = manifestFields[len(manifestFields)-1].since
 
 // manifestName is the per-snapshot manifest file; its atomic rename into
 // place commits the snapshot.
@@ -138,6 +214,19 @@ type Manifest struct {
 	// v6 writers always record it; restore feeds it into epoch recovery
 	// so positions from different eras are never compared.
 	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// Downgrade gives m the shape a writer of format version v produced: it
+// stamps the version and clears every field a later era introduced. The
+// golden-fixture generator (scripts/gen_golden) writes its fixtures
+// through it.
+func (m *Manifest) Downgrade(v int) {
+	m.FormatVersion = v
+	for _, f := range manifestFields {
+		if f.since > v {
+			f.clear(m)
+		}
+	}
 }
 
 // totalBytes sums the shard blob sizes.
@@ -523,8 +612,12 @@ func (st *Store) prune(name string, newest uint64) {
 }
 
 // loadManifest parses and structurally validates the manifest of one
-// snapshot, returning nil if absent or invalid. Both manifest versions are
-// accepted; v1 (hash-era) manifests are normalized to the current schema.
+// snapshot, returning nil if absent or invalid. Every version from
+// oldestManifestVersion to manifestVersion is accepted and normalized to
+// the current schema by one rule over the era table: a field present
+// before its era is corrupt (that era could not have written it), a field
+// failing its check from its era on is corrupt, and otherwise the field's
+// pre-era default applies.
 func (st *Store) loadManifest(name string, seq uint64) *Manifest {
 	body, err := os.ReadFile(filepath.Join(st.filterDir(name), snapDirName(seq), manifestName))
 	if err != nil {
@@ -538,85 +631,27 @@ func (st *Store) loadManifest(name string, seq uint64) *Manifest {
 		len(man.Shards) == 0 || len(man.Shards) != man.Options.Shards {
 		return nil
 	}
-	// Every version below v5 predates span splits: a pre-v5 manifest
-	// carrying a span table or per-shard mutation epochs is corrupt.
-	if man.FormatVersion < 5 && (man.Spans != nil || shardsClaimMut(&man)) {
+	if man.FormatVersion < oldestManifestVersion || man.FormatVersion > manifestVersion {
 		return nil
 	}
-	// Every version below v6 predates promotion epochs.
-	if man.FormatVersion < 6 && man.Epoch != 0 {
-		return nil
-	}
-	switch man.FormatVersion {
-	case 1:
-		// v1 predates the partitioning record; hash routing is the only
-		// mode such snapshots can have been written under. A v1 manifest
-		// claiming anything else is corrupt.
-		if man.Options.Partitioning == "" {
-			man.Options.Partitioning = PartitionHash
-		}
-		if man.Options.Partitioning != PartitionHash || man.WALPos != 0 || man.Options.Backend != "" {
-			return nil
-		}
-	case 2:
-		// v2 predates the WAL; a v2 manifest claiming a position is corrupt.
-		if !man.Options.Partitioning.Valid() || man.WALPos != 0 || man.Options.Backend != "" {
-			return nil
-		}
-	case 3:
-		// v3 predates backend selection; bloomRF is the only filter that
-		// era served, so a v3 manifest naming a backend is corrupt.
-		if !man.Options.Partitioning.Valid() || man.Options.Backend != "" {
-			return nil
-		}
-	case 4:
-		if !man.Options.Partitioning.Valid() || !validBackend(man.Options.Backend) {
-			return nil
-		}
-	case 5, manifestVersion:
-		if !man.Options.Partitioning.Valid() || !validBackend(man.Options.Backend) {
-			return nil
-		}
-		// v5+ writers always record the span table under range partitioning
-		// and never under hash; anything else is corrupt, as is a table
-		// that does not tile the keyspace or disagrees with the shard count.
-		switch man.Options.Partitioning {
-		case PartitionRange:
-			if len(man.Spans) != len(man.Shards) || validateSpans(man.Spans) != nil {
+	for _, f := range manifestFields {
+		if man.FormatVersion >= f.since {
+			if f.valid != nil && !f.valid(&man) {
 				return nil
 			}
-		default:
-			if man.Spans != nil {
-				return nil
-			}
-		}
-		// v6 writers always record the promotion epoch.
-		if man.FormatVersion == manifestVersion && man.Epoch == 0 {
+		} else if f.present != nil && f.present(&man) {
 			return nil
+		} else if f.setDefault != nil {
+			f.setDefault(&man)
 		}
-	default:
-		return nil
-	}
-	if man.Options.Backend == "" {
-		man.Options.Backend = BackendBloomRF // pre-v4 manifests are bloomRF by construction
 	}
 	return &man
 }
 
-// shardsClaimMut reports whether any shard entry carries a mutation epoch,
-// which only v5+ writers record.
-func shardsClaimMut(man *Manifest) bool {
-	for _, sh := range man.Shards {
-		if sh.Mut != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// restoreSnap rebuilds a filter from one snapshot, verifying every shard
-// blob against the manifest's size and CRC before trusting it.
-func (st *Store) restoreSnap(name string, man *Manifest) (*ShardedFilter, error) {
+// readShardBlobs reads the shard blobs one snapshot's manifest lists. An
+// entry whose file is not a bare name would reach outside the snapshot
+// directory and is refused.
+func (st *Store) readShardBlobs(name string, man *Manifest) ([][]byte, error) {
 	snapDir := filepath.Join(st.filterDir(name), snapDirName(man.Seq))
 	blobs := make([][]byte, len(man.Shards))
 	for i, ent := range man.Shards {
@@ -629,26 +664,36 @@ func (st *Store) restoreSnap(name string, man *Manifest) (*ShardedFilter, error)
 		}
 		blobs[i] = blob
 	}
-	return restoreFromBlobs(man, blobs)
+	return blobs, nil
+}
+
+// verifyShardBlobs checks shard blobs, wherever they came from, against the
+// manifest's shard count and each entry's recorded size and CRC-32C.
+func verifyShardBlobs(man *Manifest, blobs [][]byte) error {
+	if len(blobs) != len(man.Shards) {
+		return fmt.Errorf("%d blobs for %d manifest shards", len(blobs), len(man.Shards))
+	}
+	for i, ent := range man.Shards {
+		if int64(len(blobs[i])) != ent.Bytes {
+			return fmt.Errorf("shard %d: %d bytes, manifest says %d", i, len(blobs[i]), ent.Bytes)
+		}
+		if crc := crc32.Checksum(blobs[i], castagnoli); crc != ent.CRC32C {
+			return fmt.Errorf("shard %d: CRC mismatch %08x != %08x", i, crc, ent.CRC32C)
+		}
+	}
+	return nil
 }
 
 // restoreFromBlobs rebuilds a filter from a manifest plus its shard blobs,
-// wherever they came from — snapshot files (restoreSnap) or a replication
+// wherever they came from — snapshot files (Restore) or a replication
 // bootstrap stream (Follower). Every blob is verified against the
 // manifest's size and CRC before being trusted.
 func restoreFromBlobs(man *Manifest, blobs [][]byte) (*ShardedFilter, error) {
-	if len(blobs) != len(man.Shards) {
-		return nil, fmt.Errorf("%d blobs for %d manifest shards", len(blobs), len(man.Shards))
+	if err := verifyShardBlobs(man, blobs); err != nil {
+		return nil, err
 	}
 	shards := make([]shardFilter, len(man.Shards))
-	for i, ent := range man.Shards {
-		blob := blobs[i]
-		if int64(len(blob)) != ent.Bytes {
-			return nil, fmt.Errorf("shard %d: %d bytes, manifest says %d", i, len(blob), ent.Bytes)
-		}
-		if crc := crc32.Checksum(blob, castagnoli); crc != ent.CRC32C {
-			return nil, fmt.Errorf("shard %d: CRC mismatch %08x != %08x", i, crc, ent.CRC32C)
-		}
+	for i, blob := range blobs {
 		f, err := unmarshalShardFilter(man.Options.Backend, blob)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -686,22 +731,11 @@ func (st *Store) ReadSnapshot(name string) (Manifest, [][]byte, error) {
 		if man == nil {
 			continue
 		}
-		snapDir := filepath.Join(st.filterDir(name), snapDirName(seq))
-		blobs := make([][]byte, len(man.Shards))
-		ok := true
-		for i, ent := range man.Shards {
-			if ent.File != filepath.Base(ent.File) {
-				ok = false
-				break
-			}
-			blob, err := os.ReadFile(filepath.Join(snapDir, ent.File))
-			if err != nil || int64(len(blob)) != ent.Bytes || crc32.Checksum(blob, castagnoli) != ent.CRC32C {
-				ok = false
-				break
-			}
-			blobs[i] = blob
+		blobs, err := st.readShardBlobs(name, man)
+		if err == nil {
+			err = verifyShardBlobs(man, blobs)
 		}
-		if ok {
+		if err == nil {
 			return *man, blobs, nil
 		}
 	}
@@ -723,7 +757,11 @@ func (st *Store) Restore(name string) (*ShardedFilter, Manifest, error) {
 		if man == nil {
 			continue // incomplete or foreign directory
 		}
-		f, err := st.restoreSnap(name, man)
+		blobs, err := st.readShardBlobs(name, man)
+		var f *ShardedFilter
+		if err == nil {
+			f, err = restoreFromBlobs(man, blobs)
+		}
 		if err != nil {
 			lastErr = fmt.Errorf("server: restore %q snap %d: %w", name, seq, err)
 			continue

@@ -217,6 +217,60 @@ func TestRestoreFallsBackOnCorruptBlob(t *testing.T) {
 	assertIdenticalAnswers(t, frozen, g, keys, 43)
 }
 
+// TestShardPathEscapeRefused gives the newest snapshot a manifest whose
+// shard file reaches outside the snapshot directory, with the right bytes
+// waiting at the target. Both readers — Restore and ReadSnapshot — must
+// refuse it and fall back to the older intact snapshot, or report
+// ErrNoSnapshot when there is none.
+func TestShardPathEscapeRefused(t *testing.T) {
+	for _, file := range []string{"../x", "a/b"} {
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewSharded(FilterOptions{ExpectedKeys: 1000, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.InsertBatch([]uint64{1, 2, 3})
+		for _, name := range []string{"two", "two", "one"} {
+			if _, err := st.Snapshot(name, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, newest := range map[string]uint64{"two": 2, "one": 1} {
+			man := st.loadManifest(name, newest)
+			snapDir := filepath.Join(st.filterDir(name), snapDirName(newest))
+			blob, err := os.ReadFile(filepath.Join(snapDir, man.Shards[0].File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := filepath.Join(snapDir, file)
+			if err := os.MkdirAll(filepath.Dir(target), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(target, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			man.Shards[0].File = file
+			writeManifest(t, st, man)
+		}
+
+		if _, man, err := st.Restore("two"); err != nil || man.Seq != 1 {
+			t.Fatalf("shard file %q: Restore gave seq %d, err %v; want fallback to 1", file, man.Seq, err)
+		}
+		if man, blobs, err := st.ReadSnapshot("two"); err != nil || man.Seq != 1 || len(blobs) != 2 {
+			t.Fatalf("shard file %q: ReadSnapshot gave seq %d, err %v; want fallback to 1", file, man.Seq, err)
+		}
+		if _, _, err := st.Restore("one"); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("shard file %q: Restore with no intact snapshot: %v", file, err)
+		}
+		if _, _, err := st.ReadSnapshot("one"); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("shard file %q: ReadSnapshot with no intact snapshot: %v", file, err)
+		}
+	}
+}
+
 // TestRestoreErrors pins ErrNoSnapshot for unknown and empty filters.
 func TestRestoreErrors(t *testing.T) {
 	st, err := OpenStore(t.TempDir())

@@ -96,9 +96,10 @@ type FilterOptions struct {
 	// live count, which span splits grow past the created value.
 	Shards int `json:"shards"`
 	// Partitioning is the key-routing mode, PartitionHash or
-	// PartitionRange. Empty means PartitionHash (also what snapshot
-	// manifests from before the field existed restore as).
-	Partitioning Partitioning `json:"partitioning"`
+	// PartitionRange. Empty means PartitionHash, which is also what
+	// snapshot manifests from before the field existed restore as. An
+	// empty value is omitted from JSON, as those manifests omit it.
+	Partitioning Partitioning `json:"partitioning,omitempty"`
 	// Backend selects the filter implementation behind every shard:
 	// "bloomrf" (default), "bloom", "rosetta" or "surf" (backend.go).
 	// Empty means bloomRF, which is also what snapshot manifests from

@@ -13,9 +13,10 @@ import (
 // End-to-end codec benchmarks: the same batch workload pushed through the
 // full handler path (ServeHTTP: routing, body decode, shard fan-out, probe,
 // response encode) under the JSON codec and the binary wire codec. These
-// are the headline numbers of the zero-allocation pipeline — scripts/
-// bench.sh records them in BENCH_PR5.json and the acceptance bar is
-// binary ≥ 1.5× JSON on point-lookup throughput. Run with:
+// are the headline numbers of the zero-allocation pipeline, and the
+// acceptance bar is binary ≥ 1.5× JSON on point-lookup throughput;
+// `bash bench/run.sh` measures the same codecs end to end over a real
+// socket. Run with:
 //
 //	go test ./internal/server -run xxx -bench ServerBatch -benchmem
 //
