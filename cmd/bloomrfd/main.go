@@ -130,24 +130,6 @@ func main() {
 		"how long an open-loop probe run (-probe-target-qps > 0) fires for")
 	probeOut := flag.String("probe-out", "",
 		"append the open-loop probe result as one JSON line to this file; empty prints to stdout only")
-	lsmBench := flag.Bool("lsm-bench", false,
-		"run the YCSB-driven LSM filter comparison (the paper's end-to-end scenario) instead of serving, write the report and exit")
-	lsmBenchOut := flag.String("lsm-bench-out", "BENCH_PR6.json",
-		"output path for the -lsm-bench JSON report")
-	lsmBenchKeys := flag.Int("lsm-bench-keys", 200_000,
-		"dataset size for -lsm-bench")
-	lsmBenchOps := flag.Int("lsm-bench-ops", 20_000,
-		"operations per mix and backend for -lsm-bench")
-	lsmBenchTables := flag.Int("lsm-bench-tables", 25,
-		"L0 SSTable count for -lsm-bench (paper: 25)")
-	lsmBenchBits := flag.Float64("lsm-bench-bits", 16,
-		"filter bits per key for -lsm-bench")
-	lsmBenchMixes := flag.String("lsm-bench-mixes", "A,C,E,range",
-		"comma-separated YCSB mixes for -lsm-bench (A-F, range)")
-	lsmBenchSeed := flag.Int64("lsm-bench-seed", 42,
-		"workload seed for -lsm-bench")
-	lsmBenchAssert := flag.Bool("lsm-bench-assert", false,
-		"with -lsm-bench: exit non-zero unless bloomRF reads ≤ Bloom's data blocks on the range mix")
 	flag.Parse()
 
 	defaultPart := server.Partitioning(*partitioning)
@@ -163,18 +145,6 @@ func main() {
 	token := *authToken
 	if token == "" {
 		token = os.Getenv("BLOOMRFD_AUTH_TOKEN")
-	}
-
-	if *lsmBench {
-		// Benchmark mode: reproduce the paper's LSM scenario, then exit.
-		if err := runLSMBench(lsmBenchOptions{
-			Out: *lsmBenchOut, Keys: *lsmBenchKeys, Ops: *lsmBenchOps,
-			Tables: *lsmBenchTables, Bits: *lsmBenchBits,
-			Mixes: *lsmBenchMixes, Seed: *lsmBenchSeed, Assert: *lsmBenchAssert,
-		}); err != nil {
-			log.Fatalf("bloomrfd: lsm-bench: %v", err)
-		}
-		return
 	}
 
 	if *probeFile != "" {

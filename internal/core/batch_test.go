@@ -18,8 +18,10 @@ func batchTestConfigs(t *testing.T) map[string]*Filter {
 		t.Fatal(err)
 	}
 	fs["tuned"] = tuned
+	// Domain 42 puts the exact level (ΣDeltas = 25) at a 2^17-bit bitmap,
+	// inside Validate's bound of twice the segments.
 	manual, err := New(Config{
-		Domain:       64,
+		Domain:       42,
 		Deltas:       []int{7, 6, 7, 5},
 		Replicas:     []int{2, 1, 1, 2},
 		SegmentOf:    []int{0, 0, 1, 1},

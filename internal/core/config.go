@@ -163,6 +163,19 @@ func (c *Config) Validate() error {
 	} else if len(c.SegBits) != 1 {
 		return errors.New("core: SegmentOf required with multiple segments")
 	}
+	// The exact bitmap caps the levels the probabilistic segments leave
+	// saturated, so it may not dwarf them. The advisor keeps it below 0.6 of
+	// the total budget (2^(d−ℓ) < 0.6·m), i.e. at most 1.5× the segments;
+	// 2× leaves room for rounding without refusing any tuned filter.
+	var segSum uint64
+	for _, b := range c.SegBits {
+		if segSum += b; segSum < b {
+			segSum = ^uint64(0) // saturate: the bound cannot bind
+		}
+	}
+	if exact := c.ExactBits(); exact/2 > segSum {
+		return fmt.Errorf("core: exact bitmap of %d bits exceeds twice the %d probabilistic segment bits", exact, segSum)
+	}
 	return nil
 }
 

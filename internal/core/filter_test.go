@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,63 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if got, want := good.TotalBits(), uint64(5120); got != want {
 		t.Errorf("TotalBits = %d, want %d", got, want)
+	}
+}
+
+// TestConfigValidateExactBound pins the exact-bitmap bound: at most twice
+// the probabilistic segments. It refuses the 2^39-bit layout that once ran
+// the test process out of memory, while every constructor's layout and the
+// golden blob still validate.
+func TestConfigValidateExactBound(t *testing.T) {
+	huge := Config{Domain: 64, Deltas: []int{7, 6, 7, 5}, Replicas: []int{2, 1, 1, 2},
+		SegmentOf: []int{0, 0, 1, 1}, SegBits: []uint64{1 << 17, 1 << 15}, Exact: true}
+	if err := huge.Validate(); err == nil {
+		t.Errorf("2^%d-bit exact bitmap over %d segment bits accepted", 64-25, huge.TotalBits()-huge.ExactBits())
+	}
+	// The boundary: an exact bitmap of exactly 2·ΣSegBits passes, one level
+	// lower (twice the bitmap) does not.
+	edge := Config{Domain: 24, Deltas: []int{7, 7}, SegBits: []uint64{512}, Exact: true}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("exact 2^10 over 512 segment bits refused: %v", err)
+	}
+	edge.Domain = 25
+	if err := edge.Validate(); err == nil {
+		t.Error("exact 2^11 over 512 segment bits accepted")
+	}
+
+	for _, n := range []uint64{1 << 6, 1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 24, 1 << 28} {
+		for _, bpk := range []float64{2, 8, 10, 14, 16, 22} {
+			for _, r := range []float64{0, 64, 1 << 14, 1e9, 1 << 40} {
+				rep, err := Tune(TuneOptions{N: n, BitsPerKey: bpk, MaxRange: r})
+				if err != nil {
+					t.Fatalf("Tune(n=%d, bpk=%g, R=%g): %v", n, bpk, r, err)
+				}
+				cfg := rep.Config
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("Tune(n=%d, bpk=%g, R=%g) layout refused: %v", n, bpk, r, err)
+				}
+				if float64(cfg.ExactBits()) >= 0.6*float64(cfg.TotalBits()) {
+					t.Errorf("Tune(n=%d, bpk=%g, R=%g): exact %d of %d total bits breaks the advisor's 0.6·m rule",
+						n, bpk, r, cfg.ExactBits(), cfg.TotalBits())
+				}
+			}
+		}
+	}
+	if _, _, err := NewTuned(TuneOptions{N: 20_000, BitsPerKey: 16, MaxRange: 1e9}); err != nil {
+		t.Errorf("NewTuned: %v", err)
+	}
+	if err := NewBasic(20_000, 14).cfg.Validate(); err != nil {
+		t.Errorf("NewBasic layout refused: %v", err)
+	}
+	if _, err := NewMultiAttr(MultiAttrOptions{N: 50_000, BitsPerKey: 20}); err != nil {
+		t.Errorf("NewMultiAttr: %v", err)
+	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalFilter(golden); err != nil {
+		t.Errorf("golden blob no longer restores: %v", err)
 	}
 }
 

@@ -4,11 +4,11 @@ package harness
 // generator drives the LSM store under the core mixes (A–F) plus the
 // range-heavy paper mix, once per filter backend, and reports data blocks
 // read, false-positive rate on ground-truth-empty queries, and IO saved
-// relative to the classic Bloom baseline. `bloomrfd -lsm-bench` and
-// scripts/lsm_bench.sh wrap this into BENCH_PR6.json.
+// relative to the classic Bloom baseline. TestRunYCSBSmoke runs it at
+// smoke scale; BENCH_PR6.json records a full-scale run, and the repo
+// benchmark's lsm-empty-scan workload (bench/) measures the same LSM path.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -141,7 +141,8 @@ type YCSBMixResult struct {
 	Backends []YCSBBackendResult `json:"backends"`
 }
 
-// YCSBReport is the full comparison, serialized to BENCH_PR6.json.
+// YCSBReport is the full comparison; its JSON form is the schema of
+// BENCH_PR6.json.
 type YCSBReport struct {
 	NumKeys    int             `json:"num_keys"`
 	NumOps     int             `json:"num_ops"`
@@ -326,13 +327,4 @@ func runYCSBMixBackend(dir string, mix workload.Mix, backend string, opt YCSBOpt
 	res.LatencyP99Us = float64(lat.Quantile(0.99)) / 1e3
 	res.LatencyP999Us = float64(lat.Quantile(0.999)) / 1e3
 	return res, nil
-}
-
-// WriteJSON writes the report, indented, to path.
-func (r *YCSBReport) WriteJSON(path string) error {
-	body, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(body, '\n'), 0o644)
 }

@@ -4,94 +4,56 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strings"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// Binary batch handlers: the application/x-bloomrf-batch content type on
-// the insert, query and query-range endpoints. JSON stays the default —
-// a request that does not declare the binary content type is decoded
-// exactly as before — but a client that does gets the wire package's
-// framed codec end to end: the request payload is raw little-endian
-// keys/ranges, the response a verdict bitmap (or an ack), and the whole
-// round trip reuses one pooled batchScratch, so a warm request allocates
-// nothing on the heap. Error responses stay JSON on every endpoint (they
-// are off the hot path, and a JSON body is strictly more debuggable than
-// a binary one).
+// The binary batch codec: the application/x-bloomrf-batch content type on
+// the insert, query and query-range endpoints. The same per-op handler
+// (serveOp, http.go) serves it as JSON; only decoding and encoding differ.
+// The request payload is the wire package's framed little-endian
+// keys/ranges, the response a verdict bitmap (or an ack), and every buffer
+// comes from the request's pooled batchScratch, so a warm request
+// allocates nothing on the heap. Error responses stay JSON (they are off
+// the hot path, and a JSON body is strictly more debuggable than a binary
+// one).
 //
 // The WAL insert path is the one deliberate exception to zero-allocation:
 // encoding a durable record costs one buffer per request, which is the
 // price of durability, not of the codec (serving-only deployments skip
 // it entirely).
 
+// binaryCodec implements batchCodec over internal/wire frames.
+type binaryCodec struct{}
+
 // binaryContentType is the response Content-Type header value, stored as
 // a ready-made []string so the hot path assigns it into the header map
 // without allocating.
 var binaryContentType = []string{wire.ContentType}
 
-// isBinaryBatch reports whether the request selects the binary batch codec.
-// Media types are case-insensitive (RFC 7231 §3.1.1.1) and may carry
-// parameters after a semicolon; EqualFold over the prefix handles both
-// without allocating.
-func isBinaryBatch(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	n := len(wire.ContentType)
-	if len(ct) < n || !strings.EqualFold(ct[:n], wire.ContentType) {
-		return false
-	}
-	return len(ct) == n || ct[n] == ';' || ct[n] == ' '
-}
+// wireOps maps each endpoint to the frame op its requests must carry.
+var wireOps = [numLatOps]wire.Op{wire.OpInsert, wire.OpQuery, wire.OpQueryRange}
 
-// serveBinaryFast routes a binary batch request without going through the
-// ServeMux, reporting whether it claimed the request. The generic router
-// allocates its wildcard-match slice on every request it routes, which
-// would be the one remaining per-request allocation on the binary hot
-// path; substring-slicing the URL path costs nothing. Requests it does not
-// recognize (foreign paths, names containing a slash) fall through to the
-// mux and get exactly the old behavior.
-func (a *API) serveBinaryFast(w http.ResponseWriter, r *http.Request) bool {
-	const prefix = "/v1/filters/"
-	path := r.URL.Path
-	if r.Method != http.MethodPost || !strings.HasPrefix(path, prefix) {
-		return false
+func (binaryCodec) decode(w http.ResponseWriter, r *http.Request, op latOp, sc *batchScratch) (single, ok bool) {
+	h, ok := readBinaryFrame(w, r, sc)
+	if !ok {
+		return false, false
 	}
-	rest := path[len(prefix):]
-	i := strings.LastIndexByte(rest, '/')
-	if i <= 0 {
-		return false
+	if h.Op != wireOps[op] {
+		writeErr(w, http.StatusBadRequest, "%s endpoint got a %s frame", latOpNames[op], h.Op)
+		return false, false
 	}
-	name, op := rest[:i], rest[i+1:]
-	if strings.IndexByte(name, '/') >= 0 {
-		return false
+	var err error
+	if op == opQueryRange {
+		sc.ranges, err = wire.DecodeRanges(h, sc.body[:h.Len], sc.ranges)
+	} else {
+		sc.keys, err = wire.DecodeKeys(h, sc.body[:h.Len], sc.keys)
 	}
-	switch op {
-	case "insert", "query", "query-range":
-	default:
-		return false
-	}
-	// Gate before lookup, mirroring the JSON path: an unauthenticated
-	// insert must answer 401 whether or not the filter exists, or the 404
-	// would let clients enumerate filter names without the token.
-	if op == "insert" && !a.allowMutation(w, r) {
-		return true
-	}
-	f, err := a.reg.Get(name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "filter %q not found", name)
-		return true
+		decodeBadFrame(w, err)
+		return false, false
 	}
-	switch op {
-	case "insert":
-		a.handleInsertBinary(w, r, f, name)
-	case "query":
-		a.handleQueryBinary(w, r, f, name)
-	case "query-range":
-		a.handleQueryRangeBinary(w, r, f, name)
-	}
-	return true
+	return false, true
 }
 
 // readBinaryFrame reads one request frame (header + payload) into sc.body
@@ -122,12 +84,6 @@ func readBinaryFrame(w http.ResponseWriter, r *http.Request, sc *batchScratch) (
 	return h, true
 }
 
-// writeBinaryResponse sends a completed response frame from sc.resp.
-func writeBinaryResponse(w http.ResponseWriter, sc *batchScratch) {
-	w.Header()["Content-Type"] = binaryContentType
-	_, _ = w.Write(sc.resp)
-}
-
 // decodeBadFrame maps a payload decode failure to an HTTP error. Decode
 // errors are always client-side framing mistakes (ErrBadFrame), but guard
 // anyway so a future codec error cannot masquerade as a 400.
@@ -139,126 +95,20 @@ func decodeBadFrame(w http.ResponseWriter, err error) {
 	writeErr(w, code, "%v", err)
 }
 
-// handleInsertBinary is the binary-codec insert path. Mutation gating
-// (read-only / auth) happened before dispatch; name is the filter's
-// registry name (passed explicitly because the fast route bypasses the
-// mux's PathValue machinery).
-func (a *API) handleInsertBinary(w http.ResponseWriter, r *http.Request, f *ShardedFilter, name string) {
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opInsert, codecBinary, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	h, ok := readBinaryFrame(w, r, sc)
-	if !ok {
-		return
-	}
-	if h.Op != wire.OpInsert {
-		writeErr(w, http.StatusBadRequest, "insert endpoint got a %s frame", h.Op)
-		return
-	}
-	keys, err := wire.DecodeKeys(h, sc.body[:h.Len], sc.keys)
-	if err != nil {
-		decodeBadFrame(w, err)
-		return
-	}
-	sc.keys = keys
-	// Apply first, append second — the same durability contract as the JSON
-	// path (durability.go). The beginApply/endApply bracket marks the
-	// apply+append window for a concurrent span split's drain barrier
-	// (split.go): once the splitter has drained these brackets, every
-	// mutation routed through the old table is also in the WAL below the
-	// replay ceiling. Encoding the record is skipped entirely when no WAL is
-	// attached, which keeps serving-only inserts allocation-free.
-	f.beginApply()
-	f.insertBatchWith(keys, sc)
-	if a.wal() != nil {
-		sc.tr.Enter(obs.PhaseWALAppend)
-		rec, encErr := encodeInsert(name, keys)
-		if !a.logWALTraced(w, rec, encErr, &sc.tr) {
-			f.endApply()
-			return
-		}
-	}
-	f.endApply()
-	a.noteMutationSkew(name, f)
-	sc.tr.Enter(obs.PhaseEncode)
-	sc.resp = wire.AppendAck(sc.resp[:0], uint32(len(keys)))
+func (binaryCodec) verdicts(w http.ResponseWriter, out []bool, _ bool, sc *batchScratch) {
+	sc.resp = wire.AppendResult(sc.resp[:0], out)
 	writeBinaryResponse(w, sc)
-	a.recordTrace(name, f, opInsert, codecBinary, &sc.tr)
 }
 
-// handleQueryBinary is the binary-codec point-query path. name is passed
-// explicitly for the same reason as on the insert path: the fast route
-// bypasses the mux's PathValue machinery.
-func (a *API) handleQueryBinary(w http.ResponseWriter, r *http.Request, f *ShardedFilter, name string) {
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQuery, codecBinary, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	h, ok := readBinaryFrame(w, r, sc)
-	if !ok {
-		return
-	}
-	if h.Op != wire.OpQuery {
-		writeErr(w, http.StatusBadRequest, "query endpoint got a %s frame", h.Op)
-		return
-	}
-	keys, err := wire.DecodeKeys(h, sc.body[:h.Len], sc.keys)
-	if err != nil {
-		decodeBadFrame(w, err)
-		return
-	}
-	sc.keys = keys
-	sc.out = grown(sc.out, len(keys))
-	f.mayContainBatchWith(keys, sc.out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	sc.resp = wire.AppendResult(sc.resp[:0], sc.out)
+func (binaryCodec) ack(w http.ResponseWriter, n int, sc *batchScratch) {
+	sc.resp = wire.AppendAck(sc.resp[:0], uint32(n))
 	writeBinaryResponse(w, sc)
-	a.recordTrace(name, f, opQuery, codecBinary, &sc.tr)
 }
 
-// handleQueryRangeBinary is the binary-codec range-query path.
-func (a *API) handleQueryRangeBinary(w http.ResponseWriter, r *http.Request, f *ShardedFilter, name string) {
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQueryRange, codecBinary, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	h, ok := readBinaryFrame(w, r, sc)
-	if !ok {
-		return
-	}
-	if h.Op != wire.OpQueryRange {
-		writeErr(w, http.StatusBadRequest, "query-range endpoint got a %s frame", h.Op)
-		return
-	}
-	ranges, err := wire.DecodeRanges(h, sc.body[:h.Len], sc.ranges)
-	if err != nil {
-		decodeBadFrame(w, err)
-		return
-	}
-	sc.ranges = ranges
-	sc.out = grown(sc.out, len(ranges))
-	f.mayContainRangeBatchWith(ranges, sc.out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	sc.resp = wire.AppendResult(sc.resp[:0], sc.out)
-	writeBinaryResponse(w, sc)
-	a.recordTrace(name, f, opQueryRange, codecBinary, &sc.tr)
+// writeBinaryResponse sends a completed response frame from sc.resp.
+func writeBinaryResponse(w http.ResponseWriter, sc *batchScratch) {
+	w.Header()["Content-Type"] = binaryContentType
+	_, _ = w.Write(sc.resp)
 }
+
+func (binaryCodec) latCodec() latCodec { return codecBinary }

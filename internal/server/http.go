@@ -19,13 +19,14 @@ import (
 )
 
 // HTTP API for the filter registry. Endpoint and schema reference:
-// docs/server.md. Every endpoint that takes keys has a single-key and a
-// batch shape in the same request body; batch shapes hit the filters'
-// zero-allocation batch paths. The insert/query/query-range endpoints
-// additionally content-negotiate: a request with Content-Type
-// application/x-bloomrf-batch is decoded by the binary wire codec
-// (internal/wire, handlers in binary.go) instead of encoding/json —
-// the high-throughput path, spec in docs/performance.md.
+// docs/server.md. The insert, query and query-range endpoints are served
+// by one handler, serveOp, with the body format as a parameter: the
+// router picks a batchCodec (codec.go) from the Content-Type — JSON by
+// default, the binary wire codec (binary.go) for
+// application/x-bloomrf-batch, the high-throughput path specified in
+// docs/performance.md. Either way the request runs the same gates,
+// batch execution, WAL logging and trace, so the codecs differ only in
+// how bytes become keys and verdicts become bytes.
 
 // MaxBatch bounds the number of keys or ranges in one request, as flood
 // protection; larger workloads should split into multiple requests.
@@ -201,7 +202,7 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 		mux: http.NewServeMux(), adm: newAdmission(cfg.MaxInflightBatches),
 		phases:      &phaseTable{},
 		skewAlerted: make(map[string]bool), skewChecked: make(map[string]int64),
-		closed:      make(chan struct{}),
+		closed: make(chan struct{}),
 	}
 	a.wlog.Store(cfg.WAL)
 	a.following.Store(cfg.Replication != nil)
@@ -218,9 +219,13 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 	a.mux.HandleFunc("GET /v1/filters", a.handleList)
 	a.mux.HandleFunc("GET /v1/filters/{name}", a.handleStats)
 	a.mux.HandleFunc("DELETE /v1/filters/{name}", a.handleDelete)
-	a.mux.HandleFunc("POST /v1/filters/{name}/insert", a.handleInsert)
-	a.mux.HandleFunc("POST /v1/filters/{name}/query", a.handleQuery)
-	a.mux.HandleFunc("POST /v1/filters/{name}/query-range", a.handleQueryRange)
+	// The op patterns serve only what serveOpFast declines, such as a name
+	// with an escaped slash (a%2Fb).
+	for op := latOp(0); op < numLatOps; op++ {
+		a.mux.HandleFunc("POST /v1/filters/{name}/"+latOpNames[op], func(w http.ResponseWriter, r *http.Request) {
+			a.serveOp(w, r, op, codecFor(r), r.PathValue("name"))
+		})
+	}
 	a.mux.HandleFunc("POST /v1/filters/{name}/snapshot", a.handleSnapshot)
 	a.mux.HandleFunc("POST /v1/filters/{name}/split", a.handleSplit)
 	a.mux.HandleFunc("GET /v1/replication/stream", a.handleReplicationStream)
@@ -233,15 +238,47 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 // a primary, nil for a follower, the freshly seeded log after promotion.
 func (a *API) wal() *wal.Log { return a.wlog.Load() }
 
-// ServeHTTP implements http.Handler. Binary batch requests take an
-// allocation-free route around the mux (serveBinaryFast, binary.go);
-// everything else — including binary requests the fast route does not
-// recognize — goes through the mux as before.
+// ServeHTTP implements http.Handler. Batch op requests of either codec
+// take an allocation-free route around the mux (serveOpFast); everything
+// else, including op requests the fast route declines, goes through the
+// mux.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if isBinaryBatch(r) && a.serveBinaryFast(w, r) {
+	if a.serveOpFast(w, r) {
 		return
 	}
 	a.mux.ServeHTTP(w, r)
+}
+
+// serveOpFast routes an insert, query or query-range request without the
+// ServeMux, reporting whether it claimed the request. The generic router
+// allocates its wildcard-match slice on every request it routes, which
+// would be the one remaining per-request allocation on the binary hot
+// path; substring-slicing the URL path costs nothing. It claims only paths
+// the mux would route to the same op with the same name: escaped paths
+// (RawPath set, e.g. a%2Fb), names containing a slash and the dot names
+// the mux cleans away all fall through to it.
+func (a *API) serveOpFast(w http.ResponseWriter, r *http.Request) bool {
+	const prefix = "/v1/filters/"
+	path := r.URL.Path
+	if r.Method != http.MethodPost || r.URL.RawPath != "" || !strings.HasPrefix(path, prefix) {
+		return false
+	}
+	rest := path[len(prefix):]
+	i := strings.LastIndexByte(rest, '/')
+	if i <= 0 {
+		return false
+	}
+	name, opName := rest[:i], rest[i+1:]
+	if strings.IndexByte(name, '/') >= 0 || name == "." || name == ".." {
+		return false
+	}
+	for op := latOp(0); op < numLatOps; op++ {
+		if opName == latOpNames[op] {
+			a.serveOp(w, r, op, codecFor(r), name)
+			return true
+		}
+	}
+	return false
 }
 
 // authorized reports whether the request carries the configured bearer
@@ -324,16 +361,26 @@ func (a *API) allowMutation(w http.ResponseWriter, r *http.Request) bool {
 // time this runs (apply-before-append, durability.go); a false return means
 // the client must not treat the mutation as durable — safe to retry, since
 // replay is idempotent.
-func (a *API) logWAL(w http.ResponseWriter, rec wal.Record, err error) bool {
+//
+// An armed tr has PhaseWALAppend open; logWAL closes it once the append is
+// acknowledged and moves the fsync share the WAL writer measured to
+// PhaseWALFsync. Untraced callers pass a disarmed trace.
+func (a *API) logWAL(w http.ResponseWriter, rec wal.Record, err error, tr *obs.Trace) bool {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "encoding WAL record: %v", err)
 		return false
 	}
 	l := a.wal()
 	if l == nil {
+		tr.Leave()
 		return true
 	}
-	if _, err := l.Append(rec); err != nil {
+	_, fsyncNs, err := l.AppendTraced(rec)
+	// Close the open wal-append phase before shifting: Shift only moves
+	// already-attributed time.
+	tr.Leave()
+	tr.Shift(obs.PhaseWALAppend, obs.PhaseWALFsync, fsyncNs)
+	if err != nil {
 		a.noteWALAppendError(err)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable,
@@ -428,7 +475,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// rebuilds an identically-routed filter. Roll the registration back if
 	// the log rejects it: an unlogged filter would vanish on restart.
 	rec, encErr := encodeCreate(req.Name, f.Options())
-	if !a.logWAL(w, rec, encErr) {
+	if !a.logWAL(w, rec, encErr, &obs.Trace{}) {
 		_ = a.reg.Delete(req.Name)
 		return
 	}
@@ -505,7 +552,7 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// the state a crash just before DELETE arrived would leave, and the
 	// DELETE was never acknowledged.
 	if regErr == nil {
-		if !a.logWAL(w, wal.Record{Type: recDelete, Data: []byte(name)}, nil) {
+		if !a.logWAL(w, wal.Record{Type: recDelete, Data: []byte(name)}, nil, &obs.Trace{}) {
 			return
 		}
 	}
@@ -528,45 +575,20 @@ func (a *API) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// keysReq is the shared single-or-batch key payload: exactly one of "key"
-// and "keys" must be present.
-type keysReq struct {
-	Key  *U64  `json:"key"`
-	Keys []U64 `json:"keys"`
-}
-
-// keys validates the shape and returns the key list plus whether the
-// request used the single-key form.
-func (kr *keysReq) keys(w http.ResponseWriter) ([]uint64, bool, bool) {
-	if (kr.Key == nil) == (kr.Keys == nil) {
-		writeErr(w, http.StatusBadRequest, `provide exactly one of "key" and "keys"`)
-		return nil, false, false
-	}
-	if kr.Key != nil {
-		return []uint64{uint64(*kr.Key)}, true, true
-	}
-	if len(kr.Keys) > MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d keys exceeds limit %d", len(kr.Keys), MaxBatch)
-		return nil, false, false
-	}
-	out := make([]uint64, len(kr.Keys))
-	for i, k := range kr.Keys {
-		out[i] = uint64(k)
-	}
-	return out, false, true
-}
-
-func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if !a.allowMutation(w, r) {
+// serveOp is the one handler behind the insert, query and query-range
+// endpoints, for either codec. Gates run in a fixed order: the mutation
+// gate (insert only) before the lookup, so an unauthenticated insert
+// answers 401 whether or not the filter exists and cannot enumerate names;
+// then the 404 lookup; then admission, before any body is read. The trace
+// starts before admission and is recorded only once the response is
+// written, so its total is the request's one latency measurement.
+func (a *API) serveOp(w http.ResponseWriter, r *http.Request, op latOp, c batchCodec, name string) {
+	if op == opInsert && !a.allowMutation(w, r) {
 		return
 	}
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleInsertBinary(w, r, f, name)
+	f, err := a.reg.Get(name)
+	if err != nil {
+		writeErr(w, http.StatusNotFound, "filter %q not found", name)
 		return
 	}
 	sc := getScratch()
@@ -577,39 +599,47 @@ func (a *API) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer a.adm.release()
-	defer f.observeLatency(opInsert, codecJSON, time.Now())
 	sc.tr.Enter(obs.PhaseDecode)
-	var req keysReq
-	if !decode(w, r, &req) {
-		return
-	}
-	keys, _, ok := req.keys(w)
+	single, ok := c.decode(w, r, op, sc)
 	if !ok {
 		return
 	}
-	// Apply first, append second (durability.go): concurrent inserts
-	// group-commit into one WAL write, and a snapshot that captured the
-	// log end P is guaranteed to contain every record below P. Without a
-	// WAL there is nothing to encode — skip building the record at all,
-	// like the binary path does. The apply+append pair runs inside the
-	// filter's mutation drain gate so a concurrent span split can prove
-	// every straggler's record is in the log before it backfills
-	// (split.go phase 5).
-	f.beginApply()
-	f.insertBatchWith(keys, sc)
-	if a.wal() != nil {
-		sc.tr.Enter(obs.PhaseWALAppend)
-		rec, encErr := encodeInsert(name, keys)
-		if !a.logWALTraced(w, rec, encErr, &sc.tr) {
-			f.endApply()
-			return
+	switch op {
+	case opInsert:
+		// Apply first, append second (durability.go): concurrent inserts
+		// group-commit into one WAL write, and a snapshot that captured the
+		// log end P is guaranteed to contain every record below P. Without
+		// a WAL there is nothing to encode, which keeps serving-only inserts
+		// allocation-free. The apply+append pair runs inside the filter's
+		// mutation drain gate so a concurrent span split can prove every
+		// straggler's record is in the log before it backfills (split.go
+		// phase 5).
+		f.beginApply()
+		f.insertBatchWith(sc.keys, sc)
+		if a.wal() != nil {
+			sc.tr.Enter(obs.PhaseWALAppend)
+			rec, encErr := encodeInsert(name, sc.keys)
+			if !a.logWAL(w, rec, encErr, &sc.tr) {
+				f.endApply()
+				return
+			}
 		}
+		f.endApply()
+		a.noteMutationSkew(name, f)
+		sc.tr.Enter(obs.PhaseEncode)
+		c.ack(w, len(sc.keys), sc)
+	case opQuery:
+		sc.out = grown(sc.out, len(sc.keys))
+		f.mayContainBatchWith(sc.keys, sc.out, sc)
+		sc.tr.Enter(obs.PhaseEncode)
+		c.verdicts(w, sc.out, single, sc)
+	case opQueryRange:
+		sc.out = grown(sc.out, len(sc.ranges))
+		f.mayContainRangeBatchWith(sc.ranges, sc.out, sc)
+		sc.tr.Enter(obs.PhaseEncode)
+		c.verdicts(w, sc.out, single, sc)
 	}
-	f.endApply()
-	a.noteMutationSkew(name, f)
-	sc.tr.Enter(obs.PhaseEncode)
-	writeJSON(w, http.StatusOK, map[string]any{"inserted": len(keys)})
-	a.recordTrace(name, f, opInsert, codecJSON, &sc.tr)
+	a.recordTrace(name, f, op, c.latCodec(), &sc.tr)
 }
 
 // splitReq is the optional body of POST /v1/filters/{name}/split; an empty
@@ -697,114 +727,4 @@ func (a *API) resetSkewEpisode(name string) {
 	delete(a.skewAlerted, name)
 	delete(a.skewChecked, name)
 	a.skewMu.Unlock()
-}
-
-func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleQueryBinary(w, r, f, name)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQuery, codecJSON, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	var req keysReq
-	if !decode(w, r, &req) {
-		return
-	}
-	keys, single, ok := req.keys(w)
-	if !ok {
-		return
-	}
-	out := make([]bool, len(keys))
-	f.mayContainBatchWith(keys, out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	if single {
-		writeJSON(w, http.StatusOK, map[string]any{"result": out[0]})
-	} else {
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	}
-	a.recordTrace(name, f, opQuery, codecJSON, &sc.tr)
-}
-
-// rangeReq is one inclusive [lo, hi] interval; either bound order is
-// accepted.
-type rangeReq struct {
-	Lo U64 `json:"lo"`
-	Hi U64 `json:"hi"`
-}
-
-// rangesReq is the single-or-batch range payload: either "lo"+"hi" at the
-// top level, or "ranges".
-type rangesReq struct {
-	Lo     *U64       `json:"lo"`
-	Hi     *U64       `json:"hi"`
-	Ranges []rangeReq `json:"ranges"`
-}
-
-func (a *API) handleQueryRange(w http.ResponseWriter, r *http.Request) {
-	f, ok := a.lookup(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if isBinaryBatch(r) {
-		a.handleQueryRangeBinary(w, r, f, name)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.tr.Start()
-	sc.tr.Enter(obs.PhaseAdmissionWait)
-	if !a.admit(w) {
-		return
-	}
-	defer a.adm.release()
-	defer f.observeLatency(opQueryRange, codecJSON, time.Now())
-	sc.tr.Enter(obs.PhaseDecode)
-	var req rangesReq
-	if !decode(w, r, &req) {
-		return
-	}
-	single := req.Lo != nil || req.Hi != nil
-	if single == (req.Ranges != nil) {
-		writeErr(w, http.StatusBadRequest, `provide either "lo" and "hi", or "ranges"`)
-		return
-	}
-	if single {
-		if req.Lo == nil || req.Hi == nil {
-			writeErr(w, http.StatusBadRequest, `both "lo" and "hi" are required`)
-			return
-		}
-		sc.tr.Enter(obs.PhaseProbe)
-		result := f.MayContainRange(uint64(*req.Lo), uint64(*req.Hi))
-		sc.tr.Enter(obs.PhaseEncode)
-		writeJSON(w, http.StatusOK, map[string]any{"result": result})
-		a.recordTrace(name, f, opQueryRange, codecJSON, &sc.tr)
-		return
-	}
-	if len(req.Ranges) > MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d ranges exceeds limit %d", len(req.Ranges), MaxBatch)
-		return
-	}
-	ranges := make([][2]uint64, len(req.Ranges))
-	for i, rr := range req.Ranges {
-		ranges[i] = [2]uint64{uint64(rr.Lo), uint64(rr.Hi)}
-	}
-	out := make([]bool, len(ranges))
-	f.mayContainRangeBatchWith(ranges, out, sc)
-	sc.tr.Enter(obs.PhaseEncode)
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	a.recordTrace(name, f, opQueryRange, codecJSON, &sc.tr)
 }

@@ -273,7 +273,7 @@ func latencyMetrics(m *metricsWriter, name string, f *ShardedFilter) {
 			}
 			base := []label{{"filter", name}, {"op", latOpNames[op]}, {"codec", latCodecNames[c]}}
 			histogramFamily(m, "bloomrfd_op_latency_seconds",
-				"Server-side request latency by operation and codec (handler entry to response written).",
+				"Server-side latency of served requests by operation and codec: the phase-trace total, from before admission to response written (same count as bloomrfd_filter_traced_requests_total).",
 				base, snap, 1e-9)
 			m.sample("bloomrfd_op_latency_p50_seconds",
 				"Median server-side latency (bucket upper bound).", "gauge", base, float64(snap.Quantile(0.50))*1e-9)

@@ -2,20 +2,23 @@ package server
 
 import (
 	"encoding/json"
-	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
-// Per-phase request accounting (the internal/obs integration). Handlers
-// arm the trace embedded in their pooled batchScratch (batchexec.go),
-// mark phase boundaries as the request moves through
+// Request timing (the internal/obs integration). serveOp arms the trace
+// embedded in its pooled batchScratch (batchexec.go) before admission,
+// marks phase boundaries as the request moves through
 // decode → admission-wait → shard-dispatch → probe → wal-append →
-// wal-fsync → encode, and hand the finished trace to recordTrace, which
-// feeds three sinks:
+// wal-fsync → encode, and hands the finished trace to recordTrace once
+// the response is written. The trace is the request's only clock, and
+// recordTrace feeds every view of it:
 //
+//   - the filter's per-op latency histogram, f.lat[op][codec], exported
+//     on /metrics as bloomrfd_op_latency_seconds{filter,op,codec} with
+//     p50/p99/p999 gauges and in the stats "latency" block — the trace
+//     total, so its count equals bloomrfd_filter_traced_requests_total;
 //   - the API-global phase histogram table, exported on /metrics as
 //     bloomrfd_phase_seconds{phase,op,codec} plus p50/p99 gauges — the
 //     Fig. 12.G-style decomposition of server-side latency;
@@ -27,9 +30,39 @@ import (
 //     its full phase breakdown, rate-limited to one per second per
 //     filter so a saturated server logs evidence, not a flood.
 //
-// Everything on the success path is allocation-free (atomic adds into
-// preallocated histograms); only an actually-slow request pays for its
-// log line.
+// Shed (429) and malformed requests are not recorded: the views describe
+// served work, not the rejection fast path. Everything on the success path
+// is allocation-free (atomic adds into preallocated histograms); only an
+// actually-slow request pays for its log line.
+//
+// The histograms are obs.Hist (bucket layout in internal/obs/hist.go):
+// /metrics exports them at octave granularity to keep scrapes small, while
+// the percentile gauges and the stats summary read the full buckets.
+
+// latOp / latCodec index the per-op histograms and phase tables.
+type latOp uint8
+
+const (
+	opInsert latOp = iota
+	opQuery
+	opQueryRange
+	numLatOps
+)
+
+type latCodec uint8
+
+const (
+	codecJSON latCodec = iota
+	codecBinary
+	numLatCodecs
+)
+
+// Label values for /metrics and the stats summary, indexed by the enums.
+// latOpNames doubles as the endpoints' last path segment.
+var (
+	latOpNames    = [numLatOps]string{"insert", "query", "query-range"}
+	latCodecNames = [numLatCodecs]string{"json", "binary"}
+)
 
 // phaseTable is the API-global histogram table: one obs.Hist per
 // (phase, op, codec). ~42 histograms × 170 buckets — about half a MiB,
@@ -46,6 +79,7 @@ func (a *API) recordTrace(name string, f *ShardedFilter, op latOp, c latCodec, t
 		return
 	}
 	total := tr.Finish()
+	f.lat[op][c].Observe(total)
 	var attributed int64
 	for p := 0; p < obs.NumPhases; p++ {
 		ns := tr.PhaseNs(obs.Phase(p))
@@ -111,35 +145,41 @@ func (a *API) logSlowRequest(name string, f *ShardedFilter, op latOp, c latCodec
 	a.cfg.Logf("%s", b)
 }
 
-// logWALTraced is logWAL with phase attribution: the caller opened
-// PhaseWALAppend before encoding the record; this closes the phase once
-// the append is acknowledged and re-attributes the fsync share the WAL
-// writer measured (wal.AppendTraced) to PhaseWALFsync. Error semantics
-// match logWAL exactly.
-func (a *API) logWALTraced(w http.ResponseWriter, rec wal.Record, err error, tr *obs.Trace) bool {
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "encoding WAL record: %v", err)
-		return false
+// OpLatency is one op×codec server-side latency summary in a filter's
+// stats response. Quantiles are bucket upper bounds (≤12.5% quantization).
+type OpLatency struct {
+	Op     string  `json:"op"`
+	Codec  string  `json:"codec"`
+	Count  uint64  `json:"count"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+}
+
+// latencySummaries builds the stats-endpoint latency block: one entry per
+// op×codec pair that has served at least one request, in enum order.
+func (s *ShardedFilter) latencySummaries() []OpLatency {
+	var out []OpLatency
+	for op := latOp(0); op < numLatOps; op++ {
+		for c := latCodec(0); c < numLatCodecs; c++ {
+			snap := s.lat[op][c].Read()
+			if snap.Count == 0 {
+				continue
+			}
+			const msPerNs = 1e-6
+			out = append(out, OpLatency{
+				Op:     latOpNames[op],
+				Codec:  latCodecNames[c],
+				Count:  snap.Count,
+				MeanMs: float64(snap.Sum) / float64(snap.Count) * msPerNs,
+				P50Ms:  float64(snap.Quantile(0.50)) * msPerNs,
+				P99Ms:  float64(snap.Quantile(0.99)) * msPerNs,
+				P999Ms: float64(snap.Quantile(0.999)) * msPerNs,
+			})
+		}
 	}
-	l := a.wal()
-	if l == nil {
-		tr.Leave()
-		return true
-	}
-	_, fsyncNs, err := l.AppendTraced(rec)
-	// Close the open wal-append phase before shifting: Shift only moves
-	// already-attributed time.
-	tr.Leave()
-	tr.Shift(obs.PhaseWALAppend, obs.PhaseWALFsync, fsyncNs)
-	if err != nil {
-		a.noteWALAppendError(err)
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable,
-			"WAL append failed (mutation applied in memory but not durable; server is read-only until appends recover): %v", err)
-		return false
-	}
-	a.noteWALAppendOK()
-	return true
+	return out
 }
 
 // PhaseStat is one row of the stats endpoint's "phases" block: how much

@@ -289,8 +289,9 @@ type ShardedFilter struct {
 	rangeQueries   atomic.Uint64
 	rangePositives atomic.Uint64
 
-	// Server-side latency histograms per op × codec (latency.go). The API
-	// handlers record into them; /metrics and Stats read them.
+	// Server-side latency histograms per op × codec: the trace total of
+	// every served request, recorded by recordTrace (phases.go); /metrics
+	// and Stats read them.
 	lat [numLatOps][numLatCodecs]obs.Hist
 
 	// Per-phase request-time accumulators (phases.go). Global per-phase
@@ -651,7 +652,7 @@ type ShardedStats struct {
 	KeySkew  float64       `json:"key_skew"`
 	Snapshot *SnapshotInfo `json:"snapshot,omitempty"`
 	// Latency summarizes server-side per-op latency, one entry per
-	// op × codec pair that has served at least one request (latency.go).
+	// op × codec pair that has served at least one request (phases.go).
 	Latency []OpLatency `json:"latency,omitempty"`
 	// Phases breaks the filter's served request time down by pipeline
 	// phase (phases.go); present once at least one traced request
