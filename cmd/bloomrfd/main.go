@@ -41,9 +41,8 @@
 // With -probe-file set, bloomrfd is a load-generation client instead of a
 // server: it reads keys (or "lo hi" ranges) from the file and fires them
 // at -probe-url in batches, over the JSON or the binary wire codec, and
-// reports end-to-end throughput (see probe.go and docs/performance.md).
-// Adding -probe-target-qps switches the probe to an open-loop schedule
-// that measures tail latency without coordinated omission (probe_openloop.go).
+// reports end-to-end throughput (see probe.go). Latency is measured by
+// the paced open-loop client in bench/ instead (bench/README.md).
 //
 // -max-inflight-batches bounds how many batch requests the server serves
 // concurrently; excess load is shed with 429 + Retry-After instead of
@@ -124,12 +123,6 @@ func main() {
 		"items per request for -probe-file")
 	probeRounds := flag.Int("probe-rounds", 1,
 		"how many passes -probe-file makes over the file")
-	probeTargetQPS := flag.Float64("probe-target-qps", 0,
-		"open-loop mode for -probe-file: fire requests on a fixed schedule at this rate (requests/s) regardless of response latency, measuring each latency from its scheduled send time (coordinated-omission-safe); 0 keeps the closed-loop rounds mode")
-	probeDuration := flag.Duration("probe-duration", 10*time.Second,
-		"how long an open-loop probe run (-probe-target-qps > 0) fires for")
-	probeOut := flag.String("probe-out", "",
-		"append the open-loop probe result as one JSON line to this file; empty prints to stdout only")
 	flag.Parse()
 
 	defaultPart := server.Partitioning(*partitioning)
@@ -142,6 +135,9 @@ func main() {
 		log.Fatalf("bloomrfd: -wal-sync %q must be %q, %q or %q",
 			*walSync, wal.SyncAlways, wal.SyncInterval, wal.SyncNone)
 	}
+	if err := server.CheckHeartbeatTimeout(*hbTimeout); err != nil {
+		log.Fatalf("bloomrfd: -replication-heartbeat-timeout: %v", err)
+	}
 	token := *authToken
 	if token == "" {
 		token = os.Getenv("BLOOMRFD_AUTH_TOKEN")
@@ -153,8 +149,7 @@ func main() {
 			File: *probeFile, URL: *probeURL, Filter: *probeFilter,
 			Op: *probeOp, Codec: *probeCodec, Batch: *probeBatch,
 			Rounds: *probeRounds, AuthToken: token,
-			TargetQPS: *probeTargetQPS, Duration: *probeDuration, Out: *probeOut,
-		}); err != nil {
+		}, os.Stdout); err != nil {
 			log.Fatalf("bloomrfd: probe: %v", err)
 		}
 		return

@@ -1,11 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,134 +84,99 @@ func TestDrainServerCleanIsQuiet(t *testing.T) {
 	}
 }
 
-// writeProbeFile drops n sequential keys into a temp probe file.
-func writeProbeFile(t *testing.T, n int) string {
+// writeFile drops body into a temp probe file and returns its path.
+func writeFile(t *testing.T, body string) string {
 	t.Helper()
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "%d\n", i)
-	}
-	path := filepath.Join(t.TempDir(), "keys.txt")
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "probe.txt")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestOpenLoopProbe drives the open-loop generator against a real API for
-// both codecs and checks the JSON report: the schedule was honored, every
-// request succeeded, and the percentile fields are populated and ordered.
-func TestOpenLoopProbe(t *testing.T) {
-	reg := server.NewRegistry()
-	if _, err := reg.Create("probe", server.FilterOptions{ExpectedKeys: 10_000}); err != nil {
-		t.Fatal(err)
+// TestProbe drives the closed-loop -probe-file client against a real API
+// for every codec × op, over a plain filter name and one that needs path
+// escaping. Inserted keys must all be present afterwards, and a query or
+// query-range over keys the filter holds must report every item positive.
+func TestProbe(t *testing.T) {
+	const n, batch = 1000, 128
+	keys := make([]uint64, n)
+	var keyLines, rangeLines strings.Builder
+	for i := range keys {
+		keys[i] = uint64(i) * 7
+		fmt.Fprintf(&keyLines, "%d\n", keys[i])
+		fmt.Fprintf(&rangeLines, "%d %d\n", keys[i], keys[i]+3)
 	}
-	ts := httptest.NewServer(server.NewAPI(reg))
-	defer ts.Close()
-	file := writeProbeFile(t, 1000)
+	keyFile, rangeFile := writeFile(t, keyLines.String()), writeFile(t, rangeLines.String())
 
-	for _, codec := range []string{"json", "binary"} {
-		outPath := filepath.Join(t.TempDir(), "probe.json")
-		err := runProbe(probeOptions{
-			File: file, URL: ts.URL, Filter: "probe", Op: "query",
-			Codec: codec, Batch: 100, Rounds: 1,
-			TargetQPS: 200, Duration: 300 * time.Millisecond, Out: outPath,
+	for _, filter := range []string{"probe", "a/b"} {
+		for _, codec := range []string{"json", "binary"} {
+			for _, op := range []string{"insert", "query", "query-range"} {
+				t.Run(codec+"/"+op+"/"+url.PathEscape(filter), func(t *testing.T) {
+					reg := server.NewRegistry()
+					f, err := reg.Create(filter, server.FilterOptions{ExpectedKeys: 10_000, Shards: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if op != "insert" {
+						f.InsertBatch(keys)
+					}
+					ts := httptest.NewServer(server.NewAPI(reg))
+					defer ts.Close()
+					file := keyFile
+					if op == "query-range" {
+						file = rangeFile
+					}
+					var out bytes.Buffer
+					err = runProbe(probeOptions{
+						File: file, URL: ts.URL, Filter: filter, Op: op,
+						Codec: codec, Batch: batch, Rounds: 1,
+					}, &out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := fmt.Sprintf("items=%d batches=%d", n, (n+batch-1)/batch); !strings.Contains(out.String(), want) {
+						t.Fatalf("summary %q lacks %q", out.String(), want)
+					}
+					if op == "insert" {
+						got := make([]bool, n)
+						f.MayContainBatch(keys, got)
+						for i, ok := range got {
+							if !ok {
+								t.Fatalf("inserted key %d answered negative", keys[i])
+							}
+						}
+						return
+					}
+					if want := fmt.Sprintf("positives=%d (100.0%%)", n); !strings.Contains(out.String(), want) {
+						t.Fatalf("summary %q lacks %q", out.String(), want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestProbeRefusesMalformedLines pins the probe file parser: a line that
+// does not fit the op is refused with its line number (blank lines and
+// comments still count), before any request is sent.
+func TestProbeRefusesMalformedLines(t *testing.T) {
+	for _, tc := range []struct {
+		name, op, body, want string
+	}{
+		{"point-two-fields", "query", "1\n2 3\n", ":2: one key per line"},
+		{"point-not-integer", "insert", "1\n\n# comment\nx7\n", ":4: \"x7\" is not an unsigned 64-bit integer"},
+		{"range-one-field", "query-range", "1 2\n3\n", `:2: query-range needs "lo hi"`},
+		{"range-not-integer", "query-range", "1 z\n", ":1: bounds must be unsigned 64-bit integers"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runProbe(probeOptions{
+				File: writeFile(t, tc.body), URL: "http://127.0.0.1:1", Filter: "probe",
+				Op: tc.op, Codec: "binary", Batch: 16, Rounds: 1,
+			}, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("runProbe = %v, want an error containing %q", err, tc.want)
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		data, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res openLoopResult
-		if err := json.Unmarshal(data, &res); err != nil {
-			t.Fatalf("%s: report not JSON: %v in %q", codec, err, data)
-		}
-		if res.Codec != codec || res.Op != "query" || res.TargetQPS != 200 {
-			t.Fatalf("%s: report misidentifies the run: %+v", codec, res)
-		}
-		if res.Requests < 50 || res.OK != res.Requests || res.Rejected != 0 || res.Errors != 0 {
-			t.Fatalf("%s: counts off (expected every scheduled request to succeed): %+v", codec, res)
-		}
-		if res.P50Ms <= 0 || res.P99Ms < res.P50Ms || res.P999Ms < res.P99Ms || res.MaxMs < res.P999Ms {
-			t.Fatalf("%s: percentiles empty or unordered: %+v", codec, res)
-		}
-		if res.AchievedQPS <= 0 {
-			t.Fatalf("%s: achieved QPS not reported: %+v", codec, res)
-		}
-	}
-}
-
-// TestOpenLoopProbeCountsShed pins the probe's overload accounting: 429s
-// are rejected work the admission controller shed on purpose, not errors,
-// and an all-shed run is still a successful measurement.
-func TestOpenLoopProbeCountsShed(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
-	}))
-	defer ts.Close()
-	file := writeProbeFile(t, 100)
-
-	outPath := filepath.Join(t.TempDir(), "probe.json")
-	err := runProbe(probeOptions{
-		File: file, URL: ts.URL, Filter: "probe", Op: "query",
-		Codec: "binary", Batch: 10, Rounds: 1,
-		TargetQPS: 100, Duration: 200 * time.Millisecond, Out: outPath,
-	})
-	if err != nil {
-		t.Fatalf("all-shed run must not be an error: %v", err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res openLoopResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.OK != 0 || res.Errors != 0 || res.Rejected != res.Requests {
-		t.Fatalf("shed accounting off: %+v", res)
-	}
-}
-
-// TestOpenLoopCoordinatedOmission pins the methodology itself: with a
-// server that stalls every request far longer than the dispatch interval,
-// a closed-loop client would send ~duration/stall requests; the open-loop
-// schedule must keep sending and report a p50 that includes the stall.
-func TestOpenLoopCoordinatedOmission(t *testing.T) {
-	const stall = 100 * time.Millisecond
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(stall)
-		w.Write([]byte(`{"results":[]}`))
-	}))
-	defer ts.Close()
-	file := writeProbeFile(t, 100)
-
-	outPath := filepath.Join(t.TempDir(), "probe.json")
-	err := runProbe(probeOptions{
-		File: file, URL: ts.URL, Filter: "probe", Op: "query",
-		Codec: "binary", Batch: 10, Rounds: 1,
-		TargetQPS: 100, Duration: 300 * time.Millisecond, Out: outPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res openLoopResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	// Closed-loop at a 100ms stall would manage ~3 requests in 300ms; the
-	// open-loop schedule fires ~30 regardless of response latency.
-	if res.Requests < 20 {
-		t.Fatalf("schedule collapsed to %d requests under a stalling server (coordinated omission)", res.Requests)
-	}
-	if res.P50Ms < float64(stall/time.Millisecond) {
-		t.Fatalf("p50 %.1fms below the server stall %s — latencies not measured from scheduled time", res.P50Ms, stall)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -33,16 +34,10 @@ type probeOptions struct {
 	Batch     int
 	Rounds    int
 	AuthToken string
-
-	// Open-loop mode (probe_openloop.go). TargetQPS > 0 replaces the
-	// closed-loop rounds above with a fixed request schedule.
-	TargetQPS float64
-	Duration  time.Duration
-	Out       string
 }
 
-// runProbe executes one probe session and prints a summary line.
-func runProbe(o probeOptions) error {
+// runProbe executes one probe session and writes a summary line to out.
+func runProbe(o probeOptions, out io.Writer) error {
 	if o.Op != "insert" && o.Op != "query" && o.Op != "query-range" {
 		return fmt.Errorf("-probe-op %q must be insert, query or query-range", o.Op)
 	}
@@ -65,10 +60,6 @@ func runProbe(o probeOptions) error {
 	}
 	if items == 0 {
 		return fmt.Errorf("probe file %s holds no usable lines", o.File)
-	}
-
-	if o.TargetQPS > 0 {
-		return runOpenLoop(o, keys, ranges, os.Stdout)
 	}
 
 	p := &prober{opts: o, client: &http.Client{Timeout: 5 * time.Minute}}
@@ -97,8 +88,8 @@ func runProbe(o probeOptions) error {
 	if o.Op != "insert" {
 		summary += fmt.Sprintf(" positives=%d (%.1f%%)", p.positives, 100*float64(p.positives)/float64(total))
 	}
-	fmt.Println(summary)
-	return nil
+	_, err = fmt.Fprintln(out, summary)
+	return err
 }
 
 // prober holds one session's connection, buffers and counters.
@@ -110,10 +101,11 @@ type prober struct {
 	positives int
 }
 
-// endpoint returns the target URL for the session's op.
+// endpoint returns the target URL for the session's op. The filter name
+// is one escaped path segment, so a name such as "a/b" reaches its own
+// filter rather than a deeper path.
 func (p *prober) endpoint() string {
-	path := map[string]string{"insert": "insert", "query": "query", "query-range": "query-range"}[p.opts.Op]
-	return strings.TrimSuffix(p.opts.URL, "/") + "/v1/filters/" + p.opts.Filter + "/" + path
+	return strings.TrimSuffix(p.opts.URL, "/") + "/v1/filters/" + url.PathEscape(p.opts.Filter) + "/" + p.opts.Op
 }
 
 // post sends one request body and returns the response bytes.

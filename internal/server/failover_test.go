@@ -407,6 +407,31 @@ func TestHeartbeatLossDetection(t *testing.T) {
 	}
 }
 
+// TestCheckHeartbeatTimeout pins the startup refusal of a heartbeat
+// timeout the idle stream cannot satisfy: 0 (disabled) and anything above
+// the idle-heartbeat interval pass; the interval itself and anything
+// shorter would flip a healthy idle primary to unreachable, so they fail.
+func TestCheckHeartbeatTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		d  time.Duration
+		ok bool
+	}{
+		{0, true},
+		{heartbeatEvery + time.Nanosecond, true},
+		{5 * time.Second, true},
+		{heartbeatEvery, false},
+		{300 * time.Millisecond, false},
+	} {
+		err := CheckHeartbeatTimeout(tc.d)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckHeartbeatTimeout(%s) = %v, want ok=%v", tc.d, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), heartbeatEvery.String()) {
+			t.Errorf("refusal %q does not name the %s interval", err, heartbeatEvery)
+		}
+	}
+}
+
 // TestAutoPromote pins the guarded self-promotion policy: with -auto-promote
 // armed, a fully caught-up standby promotes itself once the primary has been
 // silent past the heartbeat timeout — and not a moment before.

@@ -76,6 +76,18 @@ const frameHeaderSize = 17
 // connection can go unnoticed.
 const heartbeatEvery = 500 * time.Millisecond
 
+// CheckHeartbeatTimeout refuses a heartbeat-loss window that a healthy
+// idle primary cannot satisfy: with d at or below heartbeatEvery, the gap
+// between two heartbeats alone would report primary_unreachable, and under
+// auto-promote a caught-up standby would be promoted over a live primary.
+// 0 (detection disabled) is accepted.
+func CheckHeartbeatTimeout(d time.Duration) error {
+	if d > 0 && d <= heartbeatEvery {
+		return fmt.Errorf("%s must exceed the %s idle-heartbeat interval (or be 0 to disable detection)", d, heartbeatEvery)
+	}
+	return nil
+}
+
 // flushEvery bounds how many frames a catching-up stream buffers before
 // forcing them onto the wire.
 const flushEvery = 256
