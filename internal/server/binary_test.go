@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -151,12 +152,7 @@ func queryBinary(t testing.TB, a *API, keys []uint64) []bool {
 
 func queryRangeJSON(t testing.TB, a *API, ranges [][2]uint64) []bool {
 	t.Helper()
-	rs := make([]map[string]uint64, len(ranges))
-	for i, r := range ranges {
-		rs[i] = map[string]uint64{"lo": r[0], "hi": r[1]}
-	}
-	body, _ := json.Marshal(map[string]any{"ranges": rs})
-	rec := doBinReq(t, a, "POST", "/v1/filters/f/query-range", "application/json", body)
+	rec := doBinReq(t, a, "POST", "/v1/filters/f/query-range", "application/json", jsonRangesBody(ranges))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("JSON query-range: %d %s", rec.Code, rec.Body)
 	}
@@ -262,7 +258,7 @@ type rewindableBody struct {
 
 func (b *rewindableBody) Read(p []byte) (int, error) {
 	if b.off >= len(b.data) {
-		return 0, fmt.Errorf("EOF")
+		return 0, io.EOF
 	}
 	n := copy(p, b.data[b.off:])
 	b.off += n
@@ -270,13 +266,45 @@ func (b *rewindableBody) Read(p []byte) (int, error) {
 }
 func (b *rewindableBody) Close() error { return nil }
 
-// TestBinaryBatchZeroAlloc is the allocation regression gate of the binary
-// pipeline: once warm, a binary batch query, range query and insert (no
-// WAL) through the full handler path — body read, frame decode, shard
-// grouping, probe fan-in, response encode — must perform zero heap
+// TestBinaryBatchZeroAlloc and TestJSONBatchZeroAlloc are the allocation
+// regression gates of the two codecs: once warm, a batch query, range query
+// and insert (no WAL) through the full handler path — body read, decode,
+// shard grouping, probe fan-in, response encode — must perform zero heap
 // allocations. A nonzero count here means a pooled buffer regressed into a
 // per-request allocation.
 func TestBinaryBatchZeroAlloc(t *testing.T) {
+	testBatchZeroAlloc(t, wire.ContentType, func(op latOp, keys []uint64, ranges [][2]uint64) []byte {
+		if op == opQueryRange {
+			return wire.AppendRangesRequest(nil, ranges)
+		}
+		return wire.AppendKeysRequest(nil, wireOps[op], keys)
+	})
+}
+
+func TestJSONBatchZeroAlloc(t *testing.T) {
+	testBatchZeroAlloc(t, "application/json", func(op latOp, keys []uint64, ranges [][2]uint64) []byte {
+		if op == opQueryRange {
+			return jsonRangesBody(ranges)
+		}
+		body, _ := json.Marshal(map[string]any{"keys": keys})
+		return body
+	})
+}
+
+// jsonRangesBody encodes ranges in the batch query-range shape.
+func jsonRangesBody(ranges [][2]uint64) []byte {
+	rs := make([]map[string]uint64, len(ranges))
+	for i, r := range ranges {
+		rs[i] = map[string]uint64{"lo": r[0], "hi": r[1]}
+	}
+	body, _ := json.Marshal(map[string]any{"ranges": rs})
+	return body
+}
+
+// testBatchZeroAlloc serves each op's request, encoded by body in the given
+// Content-Type, through a warm API with 1 and 8 shards and requires zero
+// allocations per request.
+func testBatchZeroAlloc(t *testing.T, contentType string, body func(op latOp, keys []uint64, ranges [][2]uint64) []byte) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on the measured path; run without -race")
 	}
@@ -293,19 +321,15 @@ func TestBinaryBatchZeroAlloc(t *testing.T) {
 				lo := rng.Uint64()
 				ranges[i] = [2]uint64{lo, lo + 1000}
 			}
-			insFrame := wire.AppendKeysRequest(nil, wire.OpInsert, keys)
-			qFrame := wire.AppendKeysRequest(nil, wire.OpQuery, keys)
-			rFrame := wire.AppendRangesRequest(nil, ranges)
-
-			run := func(name, path string, frame []byte) {
-				t.Helper()
-				body := &rewindableBody{data: frame}
-				req := httptest.NewRequest("POST", path, body)
-				req.Header.Set("Content-Type", wire.ContentType)
-				req.Body = body
+			for _, op := range []latOp{opQuery, opQueryRange, opInsert} {
+				name := latOpNames[op]
+				rb := &rewindableBody{data: body(op, keys, ranges)}
+				req := httptest.NewRequest("POST", "/v1/filters/f/"+name, rb)
+				req.Header.Set("Content-Type", contentType)
+				req.Body = rb
 				w := &nullResponseWriter{h: make(http.Header)}
 				serve := func() {
-					body.off = 0
+					rb.off = 0
 					w.n = 0
 					a.ServeHTTP(w, req)
 					if w.n == 0 {
@@ -318,9 +342,6 @@ func TestBinaryBatchZeroAlloc(t *testing.T) {
 					t.Errorf("%s: %v allocations per warm request, want 0", name, allocs)
 				}
 			}
-			run("query", "/v1/filters/f/query", qFrame)
-			run("query-range", "/v1/filters/f/query-range", rFrame)
-			run("insert", "/v1/filters/f/insert", insFrame)
 		})
 	}
 }

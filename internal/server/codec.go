@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/wire"
@@ -10,9 +13,11 @@ import (
 // The codec seam of the batch endpoints. serveOp (http.go) is the one
 // handler behind insert, query and query-range; everything that depends on
 // the body format sits behind batchCodec. Two implementations exist: JSON
-// (this file), the default, and the binary wire codec (binary.go), picked
-// by a Content-Type of application/x-bloomrf-batch. Both decode into and
-// encode from the request's pooled batchScratch. Error responses are JSON
+// (this file and its scanner, jsonscan.go), the default, and the binary
+// wire codec (binary.go), picked by a Content-Type of
+// application/x-bloomrf-batch. Both decode into and encode from the
+// request's pooled batchScratch, so a warm request allocates nothing: any
+// binary one, and a JSON one the scanner accepts. Error responses are JSON
 // for either codec.
 
 // batchCodec decodes a batch request body and encodes its answer.
@@ -51,9 +56,25 @@ func codecFor(r *http.Request) batchCodec {
 	return jsonBatch
 }
 
-// jsonCodec is the default codec: encoding/json bodies with a single-item
-// and a batch shape per op.
+// jsonCodec is the default codec: a single-item and a batch shape per op.
+// Bodies go through the allocation-free scanner (jsonscan.go); a body it
+// declines goes to decodeReference, which answers it as encoding/json
+// always has. Answers are appended into sc.resp, byte for byte what
+// json.Encoder writes for them.
 type jsonCodec struct{}
+
+func (jsonCodec) decode(w http.ResponseWriter, r *http.Request, op latOp, sc *batchScratch) (single, ok bool) {
+	sc.body, ok = readBody(r.Body, sc.body)
+	if ok {
+		if single, ok = scanBatch(sc.body, op, sc); ok {
+			return single, true
+		}
+	}
+	// Declined: the reference reads the bytes already read, then the rest
+	// of the body, so it sees the request as the client sent it.
+	body := io.NopCloser(io.MultiReader(bytes.NewReader(sc.body), r.Body))
+	return decodeReference(w, body, op, sc)
+}
 
 // keysReq is the shared single-or-batch key payload: exactly one of "key"
 // and "keys" must be present.
@@ -62,11 +83,11 @@ type keysReq struct {
 	Keys []U64 `json:"keys"`
 }
 
-// rangeReq is one inclusive [lo, hi] interval; either bound order is
-// accepted.
+// rangeReq is one inclusive [lo, hi] interval; both bounds are required,
+// in either order.
 type rangeReq struct {
-	Lo U64 `json:"lo"`
-	Hi U64 `json:"hi"`
+	Lo *U64 `json:"lo"`
+	Hi *U64 `json:"hi"`
 }
 
 // rangesReq is the single-or-batch range payload: either "lo"+"hi" at the
@@ -77,12 +98,15 @@ type rangesReq struct {
 	Ranges []rangeReq `json:"ranges"`
 }
 
-func (jsonCodec) decode(w http.ResponseWriter, r *http.Request, op latOp, sc *batchScratch) (single, ok bool) {
+// decodeReference is jsonCodec.decode on encoding/json: the path for every
+// body the scanner declines, and the reference the scanner is tested
+// against.
+func decodeReference(w http.ResponseWriter, body io.ReadCloser, op latOp, sc *batchScratch) (single, ok bool) {
 	if op == opQueryRange {
-		return decodeRanges(w, r, sc)
+		return decodeRanges(w, body, sc)
 	}
 	var req keysReq
-	if !decode(w, r, &req) {
+	if !decode(w, body, &req) {
 		return false, false
 	}
 	if (req.Key == nil) == (req.Keys == nil) {
@@ -104,10 +128,10 @@ func (jsonCodec) decode(w http.ResponseWriter, r *http.Request, op latOp, sc *ba
 	return false, true
 }
 
-// decodeRanges is the query-range half of jsonCodec.decode.
-func decodeRanges(w http.ResponseWriter, r *http.Request, sc *batchScratch) (single, ok bool) {
+// decodeRanges is the query-range half of decodeReference.
+func decodeRanges(w http.ResponseWriter, body io.ReadCloser, sc *batchScratch) (single, ok bool) {
 	var req rangesReq
-	if !decode(w, r, &req) {
+	if !decode(w, body, &req) {
 		return false, false
 	}
 	single = req.Lo != nil || req.Hi != nil
@@ -129,24 +153,50 @@ func decodeRanges(w http.ResponseWriter, r *http.Request, sc *batchScratch) (sin
 	}
 	sc.ranges = grown(sc.ranges, len(req.Ranges))
 	for i, rr := range req.Ranges {
-		sc.ranges[i] = [2]uint64{uint64(rr.Lo), uint64(rr.Hi)}
+		if rr.Lo == nil || rr.Hi == nil {
+			writeErr(w, http.StatusBadRequest, `range %d: both "lo" and "hi" are required`, i)
+			return false, false
+		}
+		sc.ranges[i] = [2]uint64{uint64(*rr.Lo), uint64(*rr.Hi)}
 	}
 	return false, true
 }
 
-func (jsonCodec) verdicts(w http.ResponseWriter, out []bool, single bool, _ *batchScratch) {
+func (jsonCodec) verdicts(w http.ResponseWriter, out []bool, single bool, sc *batchScratch) {
+	b := sc.resp[:0]
 	if single {
-		writeJSON(w, http.StatusOK, map[string]any{"result": out[0]})
-		return
+		b = append(b, `{"result":`...)
+		b = strconv.AppendBool(b, out[0])
+	} else {
+		b = append(b, `{"results":[`...)
+		for i, v := range out {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, v)
+		}
+		b = append(b, ']')
 	}
-	if out == nil {
-		out = []bool{} // an empty batch answers [], not null
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+	sc.resp = append(b, "}\n"...)
+	writeJSONResponse(w, sc)
 }
 
-func (jsonCodec) ack(w http.ResponseWriter, n int, _ *batchScratch) {
-	writeJSON(w, http.StatusOK, map[string]any{"inserted": n})
+func (jsonCodec) ack(w http.ResponseWriter, n int, sc *batchScratch) {
+	b := append(sc.resp[:0], `{"inserted":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	sc.resp = append(b, "}\n"...)
+	writeJSONResponse(w, sc)
+}
+
+// jsonContentType is the response Content-Type header value, ready-made so
+// the hot path assigns it without allocating.
+var jsonContentType = []string{"application/json"}
+
+// writeJSONResponse sends a 200 with the JSON answer in sc.resp.
+func writeJSONResponse(w http.ResponseWriter, sc *batchScratch) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.resp)
 }
 
 func (jsonCodec) latCodec() latCodec { return codecJSON }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -164,5 +166,111 @@ func TestOpLatencyCountsServedRequestsOnly(t *testing.T) {
 	if latCount != traced || traced != served {
 		t.Fatalf("op_latency count %d, traced requests %d, served %d: want all equal\n%s",
 			latCount, traced, served, grepLines(body, "_count{filter"))
+	}
+}
+
+// TestScanBatchAccepts pins the bodies the scanner decodes itself rather
+// than declining to the reference: every documented shape, with whitespace
+// between tokens, quoted numbers and either bound order.
+// FuzzServerBatchJSON checks that it decodes them as the reference does.
+func TestScanBatchAccepts(t *testing.T) {
+	for _, tc := range []struct {
+		op   latOp
+		body string
+	}{
+		{opQuery, `{"key":0}`},
+		{opInsert, ` {"key" : "18446744073709551615"} `},
+		{opQuery, `{"keys":[]}`},
+		{opInsert, "{\"keys\":[1,\t\"2\",\r\n3]}\n"},
+		{opQueryRange, `{"lo":1,"hi":2}`},
+		{opQueryRange, `{ "hi" : "2" , "lo" : 1 }`},
+		{opQueryRange, `{"ranges":[]}`},
+		{opQueryRange, `{"ranges":[{"lo":1,"hi":2}, {"hi":0,"lo":"9"}]}`},
+	} {
+		if _, ok := scanBatch([]byte(tc.body), tc.op, &batchScratch{}); !ok {
+			t.Errorf("%s %s: declined", latOpNames[tc.op], tc.body)
+		}
+	}
+}
+
+// errAfterReader yields data, then fails every read with err.
+type errAfterReader struct {
+	data []byte
+	err  error
+}
+
+func (r *errAfterReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestJSONCodecLargeAndFailingBodies extends FuzzServerBatchJSON's
+// differential check to the declines that no small fuzz input reaches: a
+// batch one item over MaxBatch (and one at it, which the scanner accepts),
+// and a body whose read fails, before or after a complete value. For
+// ranges, whose reference decode of a MaxBatch body is slow, it checks the
+// scanner's limit alone. TestOversizedBody413 covers a body over the size
+// limit.
+func TestJSONCodecLargeAndFailingBodies(t *testing.T) {
+	keysBody := func(n int) []byte {
+		return []byte(`{"keys":[` + strings.Repeat("0,", n-1) + `0]}`)
+	}
+	atLimit, overLimit := keysBody(MaxBatch), keysBody(MaxBatch+1)
+	reset := errors.New("connection reset by peer")
+	cases := []struct {
+		name string
+		op   latOp
+		body func() io.Reader
+	}{
+		{"MaxBatch-keys", opQuery, func() io.Reader { return bytes.NewReader(atLimit) }},
+		{"over-MaxBatch-keys", opInsert, func() io.Reader { return bytes.NewReader(overLimit) }},
+		{"read-error-mid-value", opQuery, func() io.Reader {
+			return &errAfterReader{data: []byte(`{"keys":[1,2`), err: reset}
+		}},
+		{"read-error-after-value", opQueryRange, func() io.Reader {
+			return &errAfterReader{data: []byte(`{"lo":1,"hi":2}`), err: reset}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { diffJSONCodec(t, tc.op, tc.body) })
+	}
+	for n, want := range map[int]bool{MaxBatch: true, MaxBatch + 1: false} {
+		body := `{"ranges":[` + strings.Repeat(`{"lo":0,"hi":0},`, n-1) + `{"lo":0,"hi":0}]}`
+		if _, ok := scanBatch([]byte(body), opQueryRange, &batchScratch{}); ok != want {
+			t.Errorf("scanner on a batch of %d ranges: ok %v, want %v", n, ok, want)
+		}
+	}
+}
+
+// TestJSONBodyRefusals pins the refusals both JSON decoders share: data
+// after the JSON value (once silently dropped, so an insert acknowledged
+// keys it never applied) and a batch range missing a bound (once read as
+// 0).
+func TestJSONBodyRefusals(t *testing.T) {
+	cases := []struct {
+		path, body, want string
+	}{
+		{"/v1/filters/f/insert", `{"keys":[1,2]}{"keys":[3]}`, "unexpected data after the JSON value"},
+		{"/v1/filters/f/insert", `{"key":3} 4`, "unexpected data after the JSON value"},
+		{"/v1/filters/f/query", `{"keys":[1]}]`, "unexpected data after the JSON value"},
+		{"/v1/filters/f/query-range", `{"lo":1,"hi":2},`, "unexpected data after the JSON value"},
+		{"/v1/filters", `{"name":"g","expected_keys":1000} {}`, "unexpected data after the JSON value"},
+		{"/v1/filters/f/split", `{} {}`, "unexpected data after the JSON value"},
+		{"/v1/filters/f/query-range", `{"ranges":[{"lo":5}]}`, `range 0: both \"lo\" and \"hi\" are required`},
+		{"/v1/filters/f/query-range", `{"ranges":[{"lo":1,"hi":2},{"hi":5}]}`, `range 1: both \"lo\" and \"hi\" are required`},
+	}
+	for _, tc := range cases {
+		a, f := newBinaryTestAPI(t, FilterOptions{ExpectedKeys: 1000, Shards: 2, Partitioning: PartitionRange})
+		code, body := doReq(t, a, "POST", tc.path, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+			t.Errorf("POST %s %s: %d %s, want 400 %q", tc.path, tc.body, code, body, tc.want)
+		}
+		if f.MayContain(3) {
+			t.Errorf("POST %s %s: a refused body inserted key 3", tc.path, tc.body)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -172,10 +171,7 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req promoteReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeOptional(w, r.Body, &req) {
 		return
 	}
 	epoch, promoted, err := a.promote(req.Force)

@@ -401,24 +401,61 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decode reads the request body as JSON into v, rejecting unknown fields
-// and oversized bodies. An oversized body is a 413, not a generic 400: the
+// decode reads one JSON value from a request body into v. It is the one
+// place the body rules live: unknown fields are refused, and so is
+// anything but whitespace after the value, which would otherwise be
+// dropped unread. An oversized body is a 413, not a generic 400: the
 // client's JSON may be perfectly well-formed, and "split the batch" is a
 // different fix than "fix the syntax".
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+func decode(w http.ResponseWriter, body io.ReadCloser, v any) bool {
+	return decodeBody(w, body, v, false)
+}
+
+// decodeOptional is decode for endpoints whose body may be empty, which
+// leaves v untouched.
+func decodeOptional(w http.ResponseWriter, body io.ReadCloser, v any) bool {
+	return decodeBody(w, body, v, true)
+}
+
+// errTrailingData refuses a body with more than one JSON value.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
+func decodeBody(w http.ResponseWriter, body io.ReadCloser, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d MiB limit; split the batch into smaller requests", maxBodyBytes>>20)
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	err := dec.Decode(v)
+	switch {
+	case err == io.EOF && emptyOK:
+		return true
+	case err == nil:
+		err = expectEnd(dec)
+	}
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds the %d MiB limit; split the batch into smaller requests", maxBodyBytes>>20)
 		return false
 	}
-	return true
+	writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	return false
+}
+
+// expectEnd reads past the value dec has decoded and fails unless only
+// whitespace follows it. A read error, an oversized body among them,
+// passes through.
+func expectEnd(dec *json.Decoder) error {
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, &syntax):
+		return errTrailingData
+	}
+	return err
 }
 
 // lookup resolves the {name} path segment to a filter or writes a 404.
@@ -449,7 +486,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createReq
-	if !decode(w, r, &req) {
+	if !decode(w, r.Body, &req) {
 		return
 	}
 	if req.Partitioning == "" {
@@ -666,10 +703,7 @@ func (a *API) handleSplit(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := SplitAuto
 	var req splitReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !decodeOptional(w, r.Body, &req) {
 		return
 	}
 	if req.Shard != nil {

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -53,6 +55,31 @@ func TestOversizedBody413(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf("%d MiB", maxBodyBytes>>20)) ||
 		!strings.Contains(body, "split the batch") {
 		t.Fatalf("413 body does not explain the limit: %s", body)
+	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (c fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
+	}
+	return len(p), nil
+}
+
+// TestOptionalBodyOversized413 pins that the endpoints whose body may be
+// empty share the body rules of every other endpoint: more than 64 MiB is
+// a 413, where their own inline decoders once answered 400.
+func TestOptionalBodyOversized413(t *testing.T) {
+	a, _ := newBinaryTestAPI(t, FilterOptions{ExpectedKeys: 1000, Shards: 2, Partitioning: PartitionRange})
+	for _, path := range []string{"/v1/replication/promote", "/v1/filters/f/split"} {
+		body := io.MultiReader(strings.NewReader(`{"force":`), io.LimitReader(fillReader(' '), maxBodyBytes))
+		rec := httptest.NewRecorder()
+		a.ServeHTTP(rec, httptest.NewRequest("POST", path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "split the batch") {
+			t.Errorf("POST %s with %d+ bytes: %d %s, want 413", path, maxBodyBytes, rec.Code, rec.Body)
+		}
 	}
 }
 

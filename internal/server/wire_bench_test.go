@@ -138,15 +138,7 @@ func BenchmarkServerBatchRangeJSON(b *testing.B) {
 		b.Run(shardLabel(shards), func(b *testing.B) {
 			a, keys := benchServer(b, shards)
 			ranges := benchRanges(keys)
-			rs := make([]map[string]uint64, len(ranges))
-			for i, r := range ranges {
-				rs[i] = map[string]uint64{"lo": r[0], "hi": r[1]}
-			}
-			body, err := json.Marshal(map[string]any{"ranges": rs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			serveLoop(b, a, "/v1/filters/f/query-range", "application/json", body, len(ranges))
+			serveLoop(b, a, "/v1/filters/f/query-range", "application/json", jsonRangesBody(ranges), len(ranges))
 		})
 	}
 }
