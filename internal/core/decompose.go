@@ -24,115 +24,35 @@ func (c Check) KeyRange() (lo, hi uint64) {
 // DecomposeChecks returns, in top-down order, every check the two-path
 // range lookup would perform for the query [lo, hi] over the given
 // ascending dyadic levels (ℓ_0 .. ℓ_top), assuming all covering tests
-// pass. levels[len(levels)-1] is the top tested level; levels above it are
+// pass: the lookup's own plan, rendered with every path kept alive.
+// levels[len(levels)-1] is the top tested level; levels above it are
 // treated as saturated.
 func DecomposeChecks(lo, hi uint64, levels []int) []Check {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	var out []Check
-	top := len(levels) - 1
-	L := uint(levels[top])
-	pl, pr := rsh(lo, L), rsh(hi, L)
-
-	var covs [2]int
-	ncov := 0
-	switch {
-	case pl == pr && alignedLeft(lo, L) && alignedRight(hi, L):
-		return append(out, Check{Level: int(L), Lo: pl, Hi: pl})
-	case pl == pr:
-		out = append(out, Check{Level: int(L), Lo: pl, Hi: pl, Covering: true})
-		covs[0] = covSingle
-		ncov = 1
-	default:
-		la, lb := pl, pr
-		if !alignedLeft(lo, L) {
-			la = pl + 1
-			out = append(out, Check{Level: int(L), Lo: pl, Hi: pl, Covering: true})
-			covs[ncov] = covLeft
-			ncov++
-		}
-		if !alignedRight(hi, L) {
-			lb = pr - 1
-			out = append(out, Check{Level: int(L), Lo: pr, Hi: pr, Covering: true})
-			covs[ncov] = covRight
-			ncov++
-		}
-		if la <= lb {
-			out = append(out, Check{Level: int(L), Lo: la, Hi: lb})
-		}
-		if ncov == 0 {
-			return out
-		}
+	lv := make([]uint, len(levels))
+	for i, l := range levels {
+		lv[i] = uint(l)
 	}
-
-	for i := top; i >= 1; i-- {
-		childLevel := uint(levels[i-1])
-		parentLevel := uint(levels[i])
-		delta := parentLevel - childLevel
-		var next [2]int
-		n2 := 0
-		for j := 0; j < ncov; j++ {
-			switch covs[j] {
-			case covSingle:
-				cpl, cpr := rsh(lo, childLevel), rsh(hi, childLevel)
-				if cpl == cpr {
-					if alignedLeft(lo, childLevel) && alignedRight(hi, childLevel) {
-						return append(out, Check{Level: int(childLevel), Lo: cpl, Hi: cpl})
-					}
-					out = append(out, Check{Level: int(childLevel), Lo: cpl, Hi: cpl, Covering: true})
-					next[n2] = covSingle
-					n2++
-					continue
-				}
-				la, lb := cpl, cpr
-				if !alignedLeft(lo, childLevel) {
-					la = cpl + 1
-					out = append(out, Check{Level: int(childLevel), Lo: cpl, Hi: cpl, Covering: true})
-					next[n2] = covLeft
-					n2++
-				}
-				if !alignedRight(hi, childLevel) {
-					lb = cpr - 1
-					out = append(out, Check{Level: int(childLevel), Lo: cpr, Hi: cpr, Covering: true})
-					next[n2] = covRight
-					n2++
-				}
-				if la <= lb {
-					out = append(out, Check{Level: int(childLevel), Lo: la, Hi: lb})
-				}
-			case covLeft:
-				cpl := rsh(lo, childLevel)
-				parentEnd := rsh(lo, parentLevel)<<delta | (uint64(1)<<delta - 1)
-				la := cpl
-				if !alignedLeft(lo, childLevel) {
-					la = cpl + 1
-					out = append(out, Check{Level: int(childLevel), Lo: cpl, Hi: cpl, Covering: true})
-					next[n2] = covLeft
-					n2++
-				}
-				if la <= parentEnd {
-					out = append(out, Check{Level: int(childLevel), Lo: la, Hi: parentEnd})
-				}
-			case covRight:
-				cpr := rsh(hi, childLevel)
-				parentStart := rsh(hi, parentLevel) << delta
-				lb := cpr
-				if !alignedRight(hi, childLevel) {
-					lb = cpr - 1
-					out = append(out, Check{Level: int(childLevel), Lo: cpr, Hi: cpr, Covering: true})
-					next[n2] = covRight
-					n2++
-				}
-				if parentStart <= lb {
-					out = append(out, Check{Level: int(childLevel), Lo: parentStart, Hi: lb})
-				}
-			}
+	p := newRangePlan(lo, hi, lv)
+	var out []Check
+	i := p.top()
+	for ; i >= 0 && p.single(i); i-- {
+		pre := rsh(lo, lv[i])
+		if p.dyadic(i) {
+			return append(out, Check{Level: levels[i], Lo: pre, Hi: pre})
 		}
-		if n2 == 0 {
-			return out
+		out = append(out, Check{Level: levels[i], Lo: pre, Hi: pre, Covering: true})
+	}
+	var l planLayer
+	for live := pathS; i >= 0 && live != 0; i-- {
+		p.layer(i, live, &l)
+		live = 0
+		for _, c := range l.checks[:l.n] {
+			out = append(out, Check{Level: levels[i], Lo: c.lo, Hi: c.hi, Covering: c.give != 0})
+			live |= c.give
 		}
-		covs, ncov = next, n2
 	}
 	return out
 }

@@ -40,6 +40,15 @@ type Filter struct {
 	maxScan    uint64
 
 	hashOverride hashFunc // nil in production; tests only
+
+	// planLevels holds the levels a range plan walks: ℓ_0..ℓ_{k−1}, then
+	// ℓ_k when the exact layer is present. planKey and maxScan hold
+	// everything of the layout a plan depends on, so filters with equal
+	// ones share plans; a layout too large for the key has planKeyOK false
+	// and shares with none.
+	planLevels []uint
+	planKey    [16]byte
+	planKeyOK  bool
 }
 
 // New creates a filter from a validated Config.
@@ -88,12 +97,43 @@ func New(cfg Config) (*Filter, error) {
 			f.seeds[i][r] = hashutil.Mix64(uint64(i)<<32 | uint64(r) | 0xb10f<<48)
 		}
 	}
+	f.planLevels = f.levels
 	if cfg.Exact {
 		f.hasExact = true
 		f.exactLevel = lvl
 		f.exact = newBitArray(cfg.ExactBits())
+		f.planLevels = append(f.levels[:k:k], lvl)
 	}
+	f.planKey, f.planKeyOK = planKeyOf(f)
 	return f, nil
+}
+
+// planKeyOf packs the layout a range plan depends on, apart from the scan
+// bound, one byte per field: the domain; the layer count with the exact
+// layer and word permutation flags; then each layer's word shift (Δ_i − 1,
+// 0..63) and replica count less one (0..3). The hash seeds follow from the
+// layer and replica indices. It reports false for a layout that does not
+// fit: more than 14 layers, or more than 4 replicas on a layer.
+func planKeyOf(f *Filter) (key [16]byte, ok bool) {
+	const head = 2
+	if f.k > len(key)-head {
+		return key, false
+	}
+	key[0] = byte(f.domain)
+	key[1] = byte(f.k) // k ≤ 14 fits the low 4 bits
+	if f.hasExact {
+		key[1] |= 1 << 4
+	}
+	if f.permute {
+		key[1] |= 1 << 5
+	}
+	for i := 0; i < f.k; i++ {
+		if f.replicas[i] > 4 {
+			return key, false
+		}
+		key[head+i] = byte(f.wshift[i]) | byte(f.replicas[i]-1)<<6
+	}
+	return key, true
 }
 
 // NewBasic creates the tuning-free basic bloomRF of §3–5 sized for n keys
@@ -115,15 +155,20 @@ func (f *Filter) hash(layer, replica int, g uint64) uint64 {
 	return hashutil.Hash64(g, f.seeds[layer][replica])
 }
 
+// wordAt locates the filter word a layer's raw hash h selects: the
+// containing segment and the bit position of the word's first bit.
+func (f *Filter) wordAt(layer int, h uint64) (seg *bitArray, bitPos uint64) {
+	w := f.mods[layer].mod(h)
+	return &f.segs[f.segID[layer]], w << f.wshift[layer]
+}
+
 // wordPos locates the filter word holding word-group g of a layer/replica:
 // the containing segment and the bit position of the word's first bit. The
 // h mod nwords reduction uses the layer's precomputed Lemire reciprocal
 // (batch.go) — bit-identical to the hardware division it replaces, so
 // single-key and batch paths always agree on probe positions.
 func (f *Filter) wordPos(layer, replica int, g uint64) (seg *bitArray, bitPos uint64) {
-	h := f.hash(layer, replica, g)
-	w := f.mods[layer].mod(h)
-	return &f.segs[f.segID[layer]], w << f.wshift[layer]
+	return f.wordAt(layer, f.hash(layer, replica, g))
 }
 
 // reversedPrefix implements the §3.2 degenerate-distribution mitigation:

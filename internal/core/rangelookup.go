@@ -2,14 +2,146 @@ package core
 
 import "math/bits"
 
-// Covering kinds used by the two-path range lookup. A covering is a dyadic
-// interval that contains a query bound; it is tested with a single bit and,
-// if positive, expanded into the layer below (paper §4).
+// Paths of the two-path range lookup. Algorithm 1 follows one prefix path
+// while a single dyadic interval holds both query bounds (pathS), then
+// splits it into the left and right bound's paths. A check runs only while
+// its path is alive, and a covering that tests positive keeps its path
+// alive on the layer below (paper §4).
 const (
-	covSingle = iota // contains both bounds (phase 1 of Fig. 7)
-	covLeft          // contains the left bound; query extends to the DI's right edge
-	covRight         // contains the right bound; query extends from the DI's left edge
+	pathS uint8 = 1 << iota // one covering contains both bounds (phase 1 of Fig. 7)
+	pathL                   // a covering contains the left bound; the query extends to its right edge
+	pathR                   // a covering contains the right bound; the query extends from its left edge
 )
+
+// rangePlan is the query half of a range probe: [lo, hi] ordered and
+// clamped to the layout's domain, and the layout's levels. The checks on
+// each layer depend only on these, so one plan serves every filter that
+// shares the layout (sharesPlan), and a layer's checks are worked out only
+// when an execution reaches that layer.
+//
+// A probe runs in two phases (Fig. 7). While one dyadic interval holds
+// both bounds, it is the only path (pathS): each layer tests that covering,
+// or, at the level where the query is exactly that interval, that one
+// interval decides. Below the level where the bounds' prefixes differ, the
+// path splits, and layer lists each layer's checks.
+type rangePlan struct {
+	lo, hi uint64
+	levels []uint // ℓ_0..ℓ_top; the top entry is the exact level when present
+	split  int    // bits.Len64(lo ^ hi): the bounds share their prefix at levels ≥ split
+}
+
+// newRangePlan plans [lo, hi], ordered, over the given levels.
+func newRangePlan(lo, hi uint64, levels []uint) rangePlan {
+	return rangePlan{lo: lo, hi: hi, levels: levels, split: bits.Len64(lo ^ hi)}
+}
+
+// planCheck is one test of a plan: a covering (one dyadic interval that
+// contains a query bound, tested with one bit) or a decomposition run
+// (intervals lo..hi inside the query, tested with masked word loads).
+type planCheck struct {
+	lo, hi uint64 // prefixes at the layer's level; lo == hi for a covering
+	need   uint8  // the path that must be alive for the check to run
+	give   uint8  // a covering: the path a set bit keeps alive; 0 for a run
+}
+
+// planLayer lists the checks of one layer below the split in the order
+// Algorithm 1 makes them: at most two coverings and two runs.
+type planLayer struct {
+	checks [4]planCheck
+	n      int
+}
+
+func (l *planLayer) add(lo, hi uint64, need, give uint8) {
+	// n < 4 always; the mask spares the bounds check.
+	l.checks[l.n&3] = planCheck{lo: lo, hi: hi, need: need, give: give}
+	l.n++
+}
+
+// clampRange orders [lo, hi] and clamps it to f's domain. It reports
+// false when the query lies outside the domain, where every answer is
+// false.
+func (f *Filter) clampRange(lo, hi uint64) (uint64, uint64, bool) {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if f.domain < 64 {
+		max := lowMask(f.domain)
+		if lo > max {
+			return 0, 0, false
+		}
+		hi = min(hi, max)
+	}
+	return lo, hi, true
+}
+
+// top returns the index of the plan's top layer, the first one tested.
+// Levels above it are saturated (or exact) by construction and need no
+// probabilistic test.
+func (p *rangePlan) top() int { return len(p.levels) - 1 }
+
+// single reports whether layer i is in the first phase: one dyadic
+// interval, with prefix lo>>ℓ_i, holds both bounds.
+func (p *rangePlan) single(i int) bool { return int(p.levels[i]) >= p.split }
+
+// dyadic reports whether, on a layer in the first phase, the query is
+// exactly the interval that holds it, so one test decides.
+func (p *rangePlan) dyadic(i int) bool {
+	return alignedLeft(p.lo, p.levels[i]) && alignedRight(p.hi, p.levels[i])
+}
+
+// layer sets l to the checks on layer i, below the first phase, for the
+// paths alive in live: pathS on the layer where the path splits, then
+// pathL and pathR. Each expansion tests the fully-contained child
+// intervals (decomposition) and keeps at most one boundary child per path
+// as the next covering.
+func (p *rangePlan) layer(i int, live uint8, l *planLayer) {
+	l.n = 0
+	lo, hi, c := p.lo, p.hi, p.levels[i]
+	if live&pathS != 0 {
+		cpl, cpr := rsh(lo, c), rsh(hi, c)
+		la, lb := cpl, cpr
+		if !alignedLeft(lo, c) {
+			la = cpl + 1
+			l.add(cpl, cpl, pathS, pathL)
+		}
+		if !alignedRight(hi, c) {
+			lb = cpr - 1
+			l.add(cpr, cpr, pathS, pathR)
+		}
+		if la <= lb {
+			l.add(la, lb, pathS, 0)
+		}
+		return
+	}
+	parent := p.levels[i+1]
+	delta := parent - c
+	if live&pathL != 0 {
+		cpl := rsh(lo, c)
+		parentEnd := rsh(lo, parent)<<delta | (uint64(1)<<delta - 1)
+		la := cpl
+		if !alignedLeft(lo, c) {
+			la = cpl + 1
+			l.add(cpl, cpl, pathL, pathL)
+		}
+		if la <= parentEnd {
+			l.add(la, parentEnd, pathL, 0)
+		}
+	}
+	if live&pathR != 0 {
+		cpr := rsh(hi, c)
+		parentStart := rsh(hi, parent) << delta
+		lb := cpr
+		if !alignedRight(hi, c) {
+			lb = cpr - 1
+			l.add(cpr, cpr, pathR, pathR)
+		}
+		if parentStart <= lb {
+			l.add(parentStart, lb, pathR, 0)
+		}
+	}
+	// At level 0 every boundary child is itself inside the query interval,
+	// so no covering survives the last expansion.
+}
 
 // MayContainRange reports whether any key in [lo, hi] (inclusive) may have
 // been inserted. False means the range is definitely empty; true means it
@@ -22,156 +154,220 @@ const (
 // word accesses per path per layer, giving O(k) time independent of the
 // range size.
 func (f *Filter) MayContainRange(lo, hi uint64) bool {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if f.domain < 64 {
-		max := lowMask(f.domain)
-		if lo > max {
-			return false
-		}
-		if hi > max {
-			hi = max
-		}
-	}
+	lo, hi, ok := f.clampRange(lo, hi)
+	return ok && f.execPlan(newRangePlan(lo, hi, f.planLevels))
+}
 
-	top := f.k - 1
-	if f.hasExact {
-		top = f.k // virtual exact layer above the probabilistic ones
-	}
-	var covs [2]int
-	ncov := 0
-
-	// Initial split at the top level. Levels above it are saturated (or
-	// exact) by construction and need no probabilistic test.
-	L := f.levelAt(top)
-	pl, pr := rsh(lo, L), rsh(hi, L)
-	switch {
-	case pl == pr && alignedLeft(lo, L) && alignedRight(hi, L):
-		// The query is exactly one dyadic interval: a single test decides.
-		return f.testRangeLayer(top, pl, pl)
-	case pl == pr:
-		if !f.testCovering(top, pl) {
-			return false
+// execPlan runs a plan against f, whose layout must share it.
+func (f *Filter) execPlan(p rangePlan) bool {
+	i := p.top()
+	for ; i >= 0 && p.single(i); i-- {
+		pre := rsh(p.lo, p.levels[i])
+		if p.dyadic(i) {
+			return f.testRangeLayer(i, pre, pre)
 		}
-		covs[0] = covSingle
-		ncov = 1
-	default:
-		la, lb := pl, pr
-		if !alignedLeft(lo, L) {
-			la = pl + 1
-			if f.testCovering(top, pl) {
-				covs[ncov] = covLeft
-				ncov++
-			}
-		}
-		if !alignedRight(hi, L) {
-			lb = pr - 1
-			if f.testCovering(top, pr) {
-				covs[ncov] = covRight
-				ncov++
-			}
-		}
-		if la <= lb && f.testRangeLayer(top, la, lb) {
-			return true
-		}
-		if ncov == 0 {
+		// The only path: a cleared bit is an early negative (Algorithm 1,
+		// L.8).
+		if !f.testCovering(i, pre) {
 			return false
 		}
 	}
+	return f.execSplit(p, i)
+}
 
-	// Expand surviving coverings layer by layer. Each expansion tests the
-	// fully-contained child intervals (decomposition) immediately and keeps
-	// at most one boundary child per path as the next covering.
-	for i := top; i >= 1; i-- {
-		childLevel := f.levels[i-1]
-		parentLevel := f.levelAt(i)
-		delta := parentLevel - childLevel
-		var next [2]int
-		n2 := 0
-		for j := 0; j < ncov; j++ {
-			switch covs[j] {
-			case covSingle:
-				cpl, cpr := rsh(lo, childLevel), rsh(hi, childLevel)
-				if cpl == cpr {
-					if alignedLeft(lo, childLevel) && alignedRight(hi, childLevel) {
-						return f.testRangeLayer(i-1, cpl, cpl)
-					}
-					// A single covering is the only active path, so a
-					// cleared bit is an early negative (Algorithm 1, L.8).
-					if !f.testCovering(i-1, cpl) {
-						return false
-					}
-					next[n2] = covSingle
-					n2++
-					continue
-				}
-				la, lb := cpl, cpr
-				if !alignedLeft(lo, childLevel) {
-					la = cpl + 1
-					if f.testCovering(i-1, cpl) {
-						next[n2] = covLeft
-						n2++
-					}
-				}
-				if !alignedRight(hi, childLevel) {
-					lb = cpr - 1
-					if f.testCovering(i-1, cpr) {
-						next[n2] = covRight
-						n2++
-					}
-				}
-				if la <= lb && f.testRangeLayer(i-1, la, lb) {
+// execSplit runs the second phase of a plan against f, from layer i, where
+// the path splits.
+func (f *Filter) execSplit(p rangePlan, i int) bool {
+	var l planLayer
+	for live := pathS; i >= 0 && live != 0; i-- {
+		p.layer(i, live, &l)
+		live = 0
+		for k := 0; k < l.n; k++ {
+			c := &l.checks[k]
+			if c.give == 0 {
+				if f.testRangeLayer(i, c.lo, c.hi) {
 					return true
 				}
-			case covLeft:
-				cpl := rsh(lo, childLevel)
-				parentEnd := rsh(lo, parentLevel)<<delta | (uint64(1)<<delta - 1)
-				la := cpl
-				if !alignedLeft(lo, childLevel) {
-					la = cpl + 1
-					if f.testCovering(i-1, cpl) {
-						next[n2] = covLeft
-						n2++
-					}
-				}
-				if la <= parentEnd && f.testRangeLayer(i-1, la, parentEnd) {
-					return true
-				}
-			case covRight:
-				cpr := rsh(hi, childLevel)
-				parentStart := rsh(hi, parentLevel) << delta
-				lb := cpr
-				if !alignedRight(hi, childLevel) {
-					lb = cpr - 1
-					if f.testCovering(i-1, cpr) {
-						next[n2] = covRight
-						n2++
-					}
-				}
-				if parentStart <= lb && f.testRangeLayer(i-1, parentStart, lb) {
-					return true
-				}
+			} else if f.testCovering(i, c.lo) {
+				live |= c.give
 			}
 		}
-		if n2 == 0 {
-			return false
-		}
-		covs, ncov = next, n2
 	}
-	// At level 0 every boundary child is itself inside the query interval,
-	// so no covering survives the last expansion; reaching here means every
-	// decomposition test was negative.
 	return false
 }
 
-// levelAt returns the dyadic level of layer i, where i = k denotes the
-// virtual exact layer.
-func (f *Filter) levelAt(i int) uint {
-	if i == f.k {
-		return f.exactLevel
+// maxEach is the most filters MayContainRangeEach takes, so that a set of
+// them is a bit mask.
+const maxEach = 64
+
+// MayContainRangeEach sets out[j] = fs[j].MayContainRange(lo, hi) for every
+// j. It takes at most 64 filters, and out must have the same length as fs;
+// it panics otherwise. The filters that share fs[0]'s layout — the same
+// domain, level deltas, replicas, exact layer, word permutation and scan
+// bound, with any segment sizes — are probed from one plan, layer-major:
+// each layer's checks are worked out once for all of them, each covering
+// and each run's word group is hashed once per replica, and their word
+// loads issue back to back. The others answer alone. Zero allocations;
+// safe for concurrent use with Insert.
+func MayContainRangeEach(lo, hi uint64, fs []*Filter, out []bool) {
+	if len(fs) > maxEach || len(out) != len(fs) {
+		panic("core: MayContainRangeEach needs len(out) == len(fs) <= 64")
 	}
-	return f.levels[i]
+	if len(fs) == 0 {
+		return
+	}
+	f := fs[0] // the layout: levels, word shifts, replicas, hashes
+	var shared uint64
+	for j, g := range fs {
+		if g.sharesPlan(f) {
+			out[j] = false
+			shared |= 1 << j
+		} else {
+			out[j] = g.MayContainRange(lo, hi)
+		}
+	}
+	if lo, hi, ok := f.clampRange(lo, hi); ok {
+		f.execEach(newRangePlan(lo, hi, f.planLevels), fs, out, shared)
+	}
+}
+
+// execEach runs a plan made for f's layout against the filters of fs in
+// the set shared (bit j for fs[j]), which must share it, and sets out[j]
+// for those that test positive.
+func (f *Filter) execEach(p rangePlan, fs []*Filter, out []bool, shared uint64) {
+	setOut := func(hit uint64) {
+		for ; hit != 0; hit &= hit - 1 {
+			out[bits.TrailingZeros64(hit)] = true
+		}
+	}
+	i := p.top()
+	for ; i >= 0 && p.single(i); i-- {
+		pre := rsh(p.lo, p.levels[i])
+		if p.dyadic(i) {
+			setOut(f.runEach(i, pre, pre, fs, shared))
+			return
+		}
+		if shared = f.coveringEach(i, pre, fs, shared); shared == 0 {
+			return
+		}
+	}
+	// live[x] is the set of filters on which path 1<<x is alive.
+	var live, next [3]uint64
+	live[0] = shared
+	var l planLayer
+	for ; i >= 0; i-- {
+		var alive uint8
+		for x, m := range live {
+			if m != 0 {
+				alive |= 1 << x
+			}
+		}
+		if alive == 0 {
+			return
+		}
+		p.layer(i, alive, &l)
+		for k := 0; k < l.n; k++ {
+			c := &l.checks[k]
+			cand := live[bits.TrailingZeros8(c.need)]
+			if cand == 0 {
+				continue
+			}
+			if c.give != 0 {
+				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, fs, cand)
+				continue
+			}
+			hit := f.runEach(i, c.lo, c.hi, fs, cand)
+			setOut(hit)
+			for x := range live {
+				live[x] &^= hit
+				next[x] &^= hit
+			}
+		}
+		live, next = next, [3]uint64{}
+	}
+}
+
+// coveringEach is testCovering on layer i for every filter in fs whose bit
+// is set in cand; it returns the mask of those whose covering bit is set.
+// The word group is hashed once per replica for all of them.
+func (f *Filter) coveringEach(i int, prefix uint64, fs []*Filter, cand uint64) uint64 {
+	if i == f.k {
+		// Branch-free, so that the filters' word loads overlap.
+		for m := cand; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			w := fs[j].exact.loadWord(prefix)
+			cand &^= (^w >> (prefix & 63) & 1) << j
+		}
+		return cand
+	}
+	ws := f.wshift[i]
+	g := prefix >> ws
+	off := prefix & lowMask(ws)
+	if f.reversedPrefix(i, prefix) {
+		off = lowMask(ws) - off
+	}
+	for r := 0; r < f.replicas[i] && cand != 0; r++ {
+		h := f.hash(i, r, g)
+		for m := cand; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			seg, base := fs[j].wordAt(i, h)
+			pos := base + off
+			cand &^= (^seg.loadWord(pos) >> (pos & 63) & 1) << j
+		}
+	}
+	return cand
+}
+
+// runEach is testRangeLayer on layer i for every filter in fs whose bit is
+// set in cand; it returns the mask of those with a set bit in the run. Each
+// word group is hashed once per replica for all of them.
+func (f *Filter) runEach(i int, pa, pb uint64, fs []*Filter, cand uint64) uint64 {
+	if i == f.k {
+		for m := cand; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if !fs[j].exact.anySet(pa, pb) {
+				cand &^= 1 << j
+			}
+		}
+		return cand
+	}
+	ws := f.wshift[i]
+	wbits := uint64(1) << ws
+	ga, gb := pa>>ws, pb>>ws
+	if gb-ga >= f.maxScan {
+		return cand
+	}
+	var acc [maxEach]uint64
+	var hit uint64
+	for g := ga; g <= gb && cand != 0; g++ {
+		mask := runMask(pa, pb, g, ga, gb, wbits, f.permute)
+		for m := cand; m != 0; m &= m - 1 {
+			acc[bits.TrailingZeros64(m)] = ^uint64(0)
+		}
+		for r := 0; r < f.replicas[i]; r++ {
+			h := f.hash(i, r, g)
+			for m := cand; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				seg, base := fs[j].wordAt(i, h)
+				acc[j] &= seg.loadSub(base, uint(wbits))
+			}
+		}
+		for m := cand; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if acc[j]&mask != 0 {
+				hit |= 1 << j
+				cand &^= 1 << j
+			}
+		}
+	}
+	return hit
+}
+
+// sharesPlan reports whether g answers range probes from plans made for
+// f's layout.
+func (g *Filter) sharesPlan(f *Filter) bool {
+	return g == f || g.planKeyOK && f.planKeyOK && g.planKey == f.planKey && g.maxScan == f.maxScan &&
+		g.hashOverride == nil && f.hashOverride == nil
 }
 
 // testCovering tests the single bit of the dyadic interval identified by
@@ -213,21 +409,7 @@ func (f *Filter) testRangeLayer(i int, pa, pb uint64) bool {
 		return true
 	}
 	for g := ga; g <= gb; g++ {
-		oLo := uint64(0)
-		if g == ga {
-			oLo = pa & (wbits - 1)
-		}
-		oHi := wbits - 1
-		if g == gb {
-			oHi = pb & (wbits - 1)
-		}
-		mask := lowMask(uint(oHi-oLo+1)) << oLo
-		if f.permute {
-			// Prefixes in the run may be stored in either orientation:
-			// test both in the same word access (superset probe — the
-			// small FPR cost of the degenerate-distribution defense).
-			mask |= reverseWord(mask, uint(wbits))
-		}
+		mask := runMask(pa, pb, g, ga, gb, wbits, f.permute)
 		w := ^uint64(0)
 		for r := 0; r < f.replicas[i]; r++ {
 			seg, base := f.wordPos(i, r, g)
@@ -238,6 +420,27 @@ func (f *Filter) testRangeLayer(i int, pa, pb uint64) bool {
 		}
 	}
 	return false
+}
+
+// runMask selects, in word group g of a run of prefixes pa..pb spanning
+// groups ga..gb, the bits of the prefixes inside the run.
+func runMask(pa, pb, g, ga, gb, wbits uint64, permute bool) uint64 {
+	oLo := uint64(0)
+	if g == ga {
+		oLo = pa & (wbits - 1)
+	}
+	oHi := wbits - 1
+	if g == gb {
+		oHi = pb & (wbits - 1)
+	}
+	mask := lowMask(uint(oHi-oLo+1)) << oLo
+	if permute {
+		// Prefixes in the run may be stored in either orientation: test
+		// both in the same word access (superset probe — the small FPR
+		// cost of the degenerate-distribution defense).
+		mask |= reverseWord(mask, uint(wbits))
+	}
+	return mask
 }
 
 // reverseWord reverses the low wbits bits of w.

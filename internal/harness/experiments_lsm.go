@@ -118,20 +118,27 @@ var fig9Ranges = []uint64{2, 16, 64, 1_000, 100_000, 10_000_000, 1_000_000_000, 
 // (paper §6: logarithmic, sometimes linear, complexity in R).
 const rosettaProbeBudget = 1 << 18
 
+// namedPolicy is one filter of an LSM figure.
+type namedPolicy struct {
+	name   string
+	policy lsm.FilterPolicy
+}
+
 // lsmPolicies returns the PRF policies of Figs. 9/10 at a budget, each
 // tuned for the given target range size — the paper re-tunes every filter
 // per experiment point ("Rosetta and bloomRF rely on parameter tuning
 // methods that compute the proper filter-configurations, for given space
-// budgets, number of keys and range sizes", §9).
-func lsmPolicies(bpk float64, maxRange uint64) map[string]lsm.FilterPolicy {
+// budgets, number of keys and range sizes", §9). The order is the order
+// the figures print their rows in.
+func lsmPolicies(bpk float64, maxRange uint64) []namedPolicy {
 	r := maxRange
 	if r > 1<<24 {
 		r = 1 << 24 // Rosetta level cap; doubting covers the rest linearly
 	}
-	return map[string]lsm.FilterPolicy{
-		"bloomRF": &policies.BloomRF{BitsPerKey: bpk, MaxRange: float64(maxRange)},
-		"rosetta": &policies.Rosetta{BitsPerKey: bpk, MaxRange: r, Variant: rosetta.VariantF, MaxProbes: rosettaProbeBudget},
-		"surf":    &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixReal},
+	return []namedPolicy{
+		{"bloomRF", &policies.BloomRF{BitsPerKey: bpk, MaxRange: float64(maxRange)}},
+		{"rosetta", &policies.Rosetta{BitsPerKey: bpk, MaxRange: r, Variant: rosetta.VariantF, MaxProbes: rosettaProbeBudget}},
+		{"surf", &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixReal}},
 	}
 }
 
@@ -155,7 +162,8 @@ func Fig9(s Scale, dir string) ([]*Table, error) {
 	}
 	const bpk = 22
 	for _, r := range fig9Ranges {
-		for name, policy := range lsmPolicies(bpk, r) {
+		for _, np := range lsmPolicies(bpk, r) {
+			name, policy := np.name, np.policy
 			env, err := buildLSM(fmt.Sprintf("%s/fig9-%d-%s", dir, r, name), policy, s.LSMKeys, workload.Uniform, 25)
 			if err != nil {
 				return nil, fmt.Errorf("fig9 %s R=%d: %w", name, r, err)
@@ -179,12 +187,13 @@ func Fig9(s Scale, dir string) ([]*Table, error) {
 	}
 	// Point panels: filters tuned for point lookups (Rosetta with its
 	// minimal level set, bloomRF point-weighted, SuRF with hash suffixes).
-	pointPolicies := map[string]lsm.FilterPolicy{
-		"bloomRF": &policies.BloomRF{BitsPerKey: bpk},
-		"rosetta": &policies.Rosetta{BitsPerKey: bpk, MaxRange: 2, Variant: rosetta.VariantF},
-		"surf":    &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixHash},
+	pointPolicies := []namedPolicy{
+		{"bloomRF", &policies.BloomRF{BitsPerKey: bpk}},
+		{"rosetta", &policies.Rosetta{BitsPerKey: bpk, MaxRange: 2, Variant: rosetta.VariantF}},
+		{"surf", &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixHash}},
 	}
-	for name, policy := range pointPolicies {
+	for _, np := range pointPolicies {
+		name, policy := np.name, np.policy
 		env, err := buildLSM(fmt.Sprintf("%s/fig9pt-%s", dir, name), policy, s.LSMKeys, workload.Uniform, 25)
 		if err != nil {
 			return nil, err
@@ -214,11 +223,12 @@ func Fig9D(s Scale, dir string) ([]*Table, error) {
 		Title:   "Fig 9.D — Prefix-BF and fence pointers: exec time vs range size (LSM, uniform)",
 		Columns: []string{"range", "filter", "FPR", "exec(s)"},
 	}
-	baselines := map[string]lsm.FilterPolicy{
-		"prefixBF": &policies.PrefixBloom{BitsPerKey: 22, Level: 20},
-		"fence":    &policies.Fence{ZoneSize: 4096},
+	baselines := []namedPolicy{
+		{"prefixBF", &policies.PrefixBloom{BitsPerKey: 22, Level: 20}},
+		{"fence", &policies.Fence{ZoneSize: 4096}},
 	}
-	for name, policy := range baselines {
+	for _, np := range baselines {
+		name, policy := np.name, np.policy
 		env, err := buildLSM(fmt.Sprintf("%s/fig9d-%s", dir, name), policy, s.LSMKeys, workload.Uniform, 25)
 		if err != nil {
 			return nil, err
@@ -264,7 +274,8 @@ func Fig10(s Scale, dir string) ([]*Table, error) {
 		ranges := fig10Groups[group]
 		for _, bpk := range bits {
 			for _, r := range ranges {
-				for name, policy := range lsmPolicies(bpk, r) {
+				for _, np := range lsmPolicies(bpk, r) {
+					name, policy := np.name, np.policy
 					env, err := buildLSM(fmt.Sprintf("%s/fig10-%s-%v-%d-%s", dir, group, bpk, r, name), policy, s.LSMKeys, workload.Uniform, 25)
 					if err != nil {
 						return nil, err
@@ -295,13 +306,14 @@ func Fig10(s Scale, dir string) ([]*Table, error) {
 		Columns: []string{"bits/key", "filter", "point FPR"},
 	}
 	for _, bpk := range bits {
-		pointSet := map[string]lsm.FilterPolicy{
-			"bloomRF": &policies.BloomRF{BitsPerKey: bpk},
-			"rosetta": &policies.Rosetta{BitsPerKey: bpk, MaxRange: 2, Variant: rosetta.VariantF},
-			"surf":    &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixHash},
-			"bloom":   &policies.Bloom{BitsPerKey: bpk},
+		pointSet := []namedPolicy{
+			{"bloomRF", &policies.BloomRF{BitsPerKey: bpk}},
+			{"rosetta", &policies.Rosetta{BitsPerKey: bpk, MaxRange: 2, Variant: rosetta.VariantF}},
+			{"surf", &policies.SuRF{BitsPerKey: bpk, Suffix: surf.SuffixHash}},
+			{"bloom", &policies.Bloom{BitsPerKey: bpk}},
 		}
-		for name, policy := range pointSet {
+		for _, np := range pointSet {
+			name, policy := np.name, np.policy
 			env, err := buildLSM(fmt.Sprintf("%s/fig10p-%v-%s", dir, bpk, name), policy, s.LSMKeys, workload.Uniform, 25)
 			if err != nil {
 				return nil, err
@@ -328,7 +340,8 @@ func Fig12C(s Scale, dir string) ([]*Table, error) {
 		Columns: []string{"bits/key", "filter", "create(s)"},
 	}
 	for _, bpk := range []float64{10, 14, 18, 22} {
-		for name, policy := range lsmPolicies(bpk, 1<<20) {
+		for _, np := range lsmPolicies(bpk, 1<<20) {
+			name, policy := np.name, np.policy
 			path := fmt.Sprintf("%s/fig12c-%v-%s", dir, bpk, name)
 			if err := os.RemoveAll(path); err != nil {
 				return nil, err
@@ -372,7 +385,8 @@ func Fig12G(s Scale, dir string) ([]*Table, error) {
 		Columns: []string{"range", "filter", "probe(s)", "cpu-resid(s)", "deser(s)", "io-wait(s)", "total(s)"},
 	}
 	ranges := []uint64{1, 16, 1_000, 1_000_000}
-	for name, policy := range lsmPolicies(22, 1<<24) {
+	for _, np := range lsmPolicies(22, 1<<24) {
+		name, policy := np.name, np.policy
 		env, err := buildLSM(fmt.Sprintf("%s/fig12g-%s", dir, name), policy, s.LSMKeys, workload.Uniform, 25)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +162,17 @@ func TestFig12GSmoke(t *testing.T) {
 	}
 	if len(tables[0].Rows) == 0 {
 		t.Fatal("no breakdown rows")
+	}
+	// Rows come in lsmPolicies order, the same on every run: all of
+	// bloomRF's, then Rosetta's, then SuRF's.
+	var order []string
+	for _, row := range tables[0].Rows {
+		if n := len(order); n == 0 || order[n-1] != row[1] {
+			order = append(order, row[1])
+		}
+	}
+	if want := []string{"bloomRF", "rosetta", "surf"}; !slices.Equal(order, want) {
+		t.Errorf("filter rows in order %v, want %v", order, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,7 +40,8 @@ type DB struct {
 	reg         Registry
 	mu          sync.RWMutex
 	mem         *skiplist
-	tables      []*Table // newest last
+	tables      []*Table       // newest last
+	filters     []FilterReader // tables[i].filter, for RangeSetReader
 	seq         int
 	stats       IOStats
 	quarantined []string
@@ -109,6 +111,7 @@ func Open(opt DBOptions) (*DB, error) {
 			return nil, fmt.Errorf("lsm: reopen %s: %w", p, err)
 		}
 		db.tables = append(db.tables, t)
+		db.filters = append(db.filters, t.filter)
 	}
 	return db, nil
 }
@@ -147,7 +150,7 @@ func (db *DB) Close() error {
 			first = err
 		}
 	}
-	db.tables = nil
+	db.tables, db.filters = nil, nil
 	return first
 }
 
@@ -208,35 +211,61 @@ func (db *DB) FlushWithTiming() (time.Duration, error) {
 		return 0, err
 	}
 	db.tables = append(db.tables, t)
+	db.filters = append(db.filters, t.filter)
 	db.seq++
 	db.mem = newSkiplist(int64(db.seq))
 	return w.FilterBuildTime, nil
 }
 
-// Get returns the newest value for key.
+// Get returns the newest value for key. It reads the clock once around
+// the filter probes of the whole op and pauses it only around a block
+// read, so IOStats.FilterProbeNanos holds probe time alone.
 func (db *DB) Get(key uint64) ([]byte, bool, error) {
-	if v, tomb, found := db.mem.get(key); found {
+	mem, tables, _ := db.view()
+	if v, tomb, found := mem.get(key); found {
 		if tomb {
 			return nil, false, nil
 		}
 		return v, true, nil
 	}
-	db.mu.RLock()
-	tables := append([]*Table(nil), db.tables...)
-	db.mu.RUnlock()
+	var probes, negatives uint64
+	var probeTime time.Duration
+	start := time.Now()
 	for i := len(tables) - 1; i >= 0; i-- {
-		v, tomb, found, err := tables[i].get(key)
-		if err != nil {
-			return nil, false, err
+		t := tables[i]
+		probes++
+		if !t.filter.KeyMayMatch(key) {
+			negatives++
+			continue
 		}
-		if found {
-			if tomb {
-				return nil, false, nil
+		b := t.findBlock(key)
+		if b < 0 {
+			continue
+		}
+		probeTime += time.Since(start)
+		v, tomb, found, err := t.getInBlock(b, key)
+		if err != nil || found {
+			db.stats.addProbes(probes, negatives, probeTime)
+			if err != nil || tomb {
+				return nil, false, err
 			}
 			return v, true, nil
 		}
+		start = time.Now()
 	}
+	probeTime += time.Since(start)
+	db.stats.addProbes(probes, negatives, probeTime)
 	return nil, false, nil
+}
+
+// view returns the memtable, the tables a read sees and their filters.
+// Flush swaps the memtable and appends to db.tables and db.filters under
+// the write lock, and nothing rewrites an element, so the slice headers
+// read here stay valid without a copy.
+func (db *DB) view() (*skiplist, []*Table, []FilterReader) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.mem, db.tables, db.filters
 }
 
 // KV is one key-value pair produced by Scan.
@@ -248,26 +277,48 @@ type KV struct {
 // Scan returns all live records with lo ≤ key ≤ hi, newest version per
 // key, in ascending key order. Filters let the scan skip SSTables whose
 // key ranges cannot intersect the query — the mechanism the paper's
-// Workload E experiments measure end to end.
+// Workload E experiments measure end to end. The scan probes every
+// table's filter first, timed once for the op, and only then reads the
+// blocks of the tables that passed.
 func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	// Gather per-source sorted streams: memtable (newest) then tables
-	// newest-first. Priority = source order.
-	var sources [][]record
+	mem, tables, filters := db.view()
 	var memRecs []record
-	db.mem.scan(lo, hi, func(k uint64, v []byte, tomb bool) bool {
+	mem.scan(lo, hi, func(k uint64, v []byte, tomb bool) bool {
 		memRecs = append(memRecs, record{key: k, value: v, tomb: tomb})
 		return true
 	})
+
+	// Filter pass: bit i%64 of pass[i/64] is set when table i may hold a
+	// key in [lo, hi].
+	var passBuf [4]uint64
+	pass := passBuf[:0]
+	start := time.Now()
+	for base := 0; base < len(tables); base += 64 {
+		pass = append(pass, rangeMayMatch(filters[base:min(base+64, len(filters))], lo, hi))
+	}
+	probeTime := time.Since(start)
+	survivors := 0
+	for _, m := range pass {
+		survivors += bits.OnesCount64(m)
+	}
+	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), probeTime)
+	if survivors == 0 {
+		return liveKVs(memRecs), nil
+	}
+
+	// Data pass: per-source sorted streams, memtable (newest) then the
+	// surviving tables newest-first. Priority = source order.
+	sources := make([][]record, 0, 1+survivors)
 	sources = append(sources, memRecs)
-	db.mu.RLock()
-	tables := append([]*Table(nil), db.tables...)
-	db.mu.RUnlock()
 	for i := len(tables) - 1; i >= 0; i-- {
+		if pass[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
 		var recs []record
-		if _, err := tables[i].scan(lo, hi, func(r record) bool {
+		if err := tables[i].scan(lo, hi, func(r record) bool {
 			recs = append(recs, r)
 			return true
 		}); err != nil {
@@ -276,6 +327,33 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 		sources = append(sources, recs)
 	}
 	return mergeNewestWins(sources), nil
+}
+
+// rangeMayMatch probes up to 64 filters for [lo, hi] and returns the
+// verdicts as a bit mask, bit j for rs[j]. When the newest filter shares
+// range plans with others, it probes them all.
+func rangeMayMatch(rs []FilterReader, lo, hi uint64) uint64 {
+	if set, ok := rs[len(rs)-1].(RangeSetReader); ok {
+		return set.RangeMayMatchSet(lo, hi, rs)
+	}
+	var pass uint64
+	for j, r := range rs {
+		if r.RangeMayMatch(lo, hi) {
+			pass |= 1 << j
+		}
+	}
+	return pass
+}
+
+// liveKVs drops the tombstones of one sorted, duplicate-free stream.
+func liveKVs(recs []record) []KV {
+	var out []KV
+	for _, r := range recs {
+		if !r.tomb {
+			out = append(out, KV{Key: r.key, Value: r.value})
+		}
+	}
+	return out
 }
 
 // ScanEmptyCheck reports whether the scan produced any live record — the

@@ -19,6 +19,14 @@ type IOStats struct {
 	IOWaitNanos      atomic.Uint64 // simulated: BlockReads × SimulatedReadLatency
 }
 
+// addProbes records one op's filter probes: how many, how many answered
+// no, and the time they took together.
+func (s *IOStats) addProbes(probes, negatives uint64, d time.Duration) {
+	s.FilterProbes.Add(probes)
+	s.FilterNegatives.Add(negatives)
+	s.FilterProbeNanos.Add(uint64(d))
+}
+
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
 	BlockReads      uint64

@@ -68,6 +68,32 @@ type bloomRFReader struct{ f *core.Filter }
 func (r bloomRFReader) KeyMayMatch(key uint64) bool      { return r.f.MayContain(key) }
 func (r bloomRFReader) RangeMayMatch(lo, hi uint64) bool { return r.f.MayContainRange(lo, hi) }
 
+// RangeMayMatchSet implements lsm.RangeSetReader: the bloomRF readers in rs
+// are probed together by core.MayContainRangeEach, so those that share a
+// layout share one range plan; the others answer alone.
+func (r bloomRFReader) RangeMayMatchSet(lo, hi uint64, rs []lsm.FilterReader) uint64 {
+	var fs [64]*core.Filter
+	var at [64]uint8
+	var out [64]bool
+	var pass uint64
+	n := 0
+	for j, x := range rs {
+		if b, ok := x.(bloomRFReader); ok {
+			fs[n], at[n] = b.f, uint8(j)
+			n++
+		} else if x.RangeMayMatch(lo, hi) {
+			pass |= 1 << j
+		}
+	}
+	core.MayContainRangeEach(lo, hi, fs[:n], out[:n])
+	for t, ok := range out[:n] {
+		if ok {
+			pass |= 1 << at[t]
+		}
+	}
+	return pass
+}
+
 // ---------------------------------------------------------------- Bloom
 
 // Bloom is the standard RocksDB full-filter Bloom policy: point filtering

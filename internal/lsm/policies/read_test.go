@@ -1,0 +1,128 @@
+package policies_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/lsm"
+	"repro/internal/lsm/policies"
+)
+
+// TestLSMReadZeroAlloc pins the warm empty read path of the paper's LSM
+// scenario at zero allocations: a Get and a Scan whose every filter
+// answers no, over 25 tables with bloomRF filter blocks.
+func TestLSMReadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on the measured path")
+	}
+	const tables, perTable, span = 25, 2000, 1 << 10
+	db := openTestDB(t, &policies.BloomRF{BitsPerKey: 16, MaxRange: span})
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < tables; i++ {
+		for j := 0; j < perTable; j++ {
+			if err := db.Put(rng.Uint64(), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.NumTables(); n != tables {
+		t.Fatalf("%d tables, want %d", n, tables)
+	}
+	// emptyOp finds an argument for which op reads no block: every filter
+	// answered no.
+	emptyOp := func(op func(x uint64)) uint64 {
+		for i := 0; i < 1000; i++ {
+			x := rng.Uint64()
+			before := db.Stats().BlockReads.Load()
+			op(x)
+			if db.Stats().BlockReads.Load() == before {
+				return x
+			}
+		}
+		t.Fatal("no op without a block read in 1000 tries")
+		return 0
+	}
+	get := func(x uint64) {
+		if _, found, err := db.Get(x); err != nil || found {
+			t.Fatalf("Get(%#x) = %v, %v on an absent key", x, found, err)
+		}
+	}
+	scan := func(x uint64) {
+		if kvs, err := db.Scan(x, x+span-1); err != nil || len(kvs) != 0 {
+			t.Fatalf("Scan(%#x) = %d records, %v", x, len(kvs), err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		op   func(x uint64)
+	}{{"Get", get}, {"Scan", scan}} {
+		x := emptyOp(c.op)
+		if a := testing.AllocsPerRun(200, func() { c.op(x) }); a != 0 {
+			t.Errorf("warm empty %s allocates %.1f times per op, want 0", c.name, a)
+		}
+	}
+}
+
+// TestRangeMayMatchSet checks the bloomRF reader's set probe against each
+// reader's own RangeMayMatch over readers of mixed policies and mixed
+// bloomRF layouts, the newest one last as DB.Scan passes them. The tables
+// of 3500 and 13000 keys get tuned layouts that differ only in one
+// layer's delta (exact levels 50 and 48).
+func TestRangeMayMatchSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var readers []lsm.FilterReader
+	for _, c := range []struct {
+		p lsm.FilterPolicy
+		n int
+	}{
+		{&policies.BloomRF{BitsPerKey: 16, MaxRange: 1 << 10}, 3500},
+		{&policies.Bloom{BitsPerKey: 10}, 3000},
+		{&policies.BloomRF{BitsPerKey: 16, MaxRange: 1 << 10}, 13000},
+		{&policies.BloomRF{BitsPerKey: 16, MaxRange: 1 << 30}, 3000},
+		{&policies.Fence{ZoneSize: 64}, 3000},
+		{&policies.BloomRF{BitsPerKey: 16, MaxRange: 1 << 10}, 3000},
+	} {
+		keys := make([]uint64, c.n)
+		for i := range keys {
+			keys[i] = rng.Uint64() >> 8
+		}
+		slices.Sort(keys)
+		block, err := c.p.CreateFilter(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.p.NewReader(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, r)
+	}
+	set, ok := readers[len(readers)-1].(lsm.RangeSetReader)
+	if !ok {
+		t.Fatal("the bloomRF reader does not implement lsm.RangeSetReader")
+	}
+	positives := 0
+	for i := 0; i < 20000; i++ {
+		lo := rng.Uint64() >> 8
+		hi := lo + rng.Uint64()%(1<<uint(rng.Intn(40)))
+		var want uint64
+		for j, r := range readers {
+			if r.RangeMayMatch(lo, hi) {
+				want |= 1 << j
+			}
+		}
+		if got := set.RangeMayMatchSet(lo, hi, readers); got != want {
+			t.Fatalf("RangeMayMatchSet(%#x, %#x) = %06b, want %06b", lo, hi, got, want)
+		}
+		if want&0b101101 != 0 {
+			positives++
+		}
+	}
+	if positives == 0 {
+		t.Fatal("no bloomRF reader ever answered maybe")
+	}
+}

@@ -31,6 +31,20 @@ type FilterReader interface {
 	RangeMayMatch(lo, hi uint64) bool
 }
 
+// RangeSetReader is an optional FilterReader extension for filters whose
+// range probe splits into a plan, which depends only on the query and the
+// filter's layout, and its execution against one filter's bits. DB.Scan
+// hands the readers of up to 64 tables at once to the newest one's
+// RangeMayMatchSet when it implements this, so that the tables sharing a
+// layout are probed from one plan.
+type RangeSetReader interface {
+	FilterReader
+	// RangeMayMatchSet returns a mask whose bit j is
+	// rs[j].RangeMayMatch(lo, hi), for len(rs) ≤ 64. rs may hold readers
+	// of any policy.
+	RangeMayMatchSet(lo, hi uint64, rs []FilterReader) uint64
+}
+
 // ErrUnknownPolicy is returned when opening a table whose filter block was
 // written by an unregistered policy.
 var ErrUnknownPolicy = errors.New("lsm: unknown filter policy")

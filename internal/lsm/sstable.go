@@ -367,34 +367,6 @@ func (t *Table) Entries() uint64 { return t.entries }
 // Path returns the backing file path.
 func (t *Table) Path() string { return t.path }
 
-// keyMayMatch consults the filter, accounting probe time and verdicts.
-func (t *Table) keyMayMatch(key uint64) bool {
-	start := time.Now()
-	ok := t.filter.KeyMayMatch(key)
-	if t.stats != nil {
-		t.stats.FilterProbes.Add(1)
-		t.stats.FilterProbeNanos.Add(uint64(time.Since(start)))
-		if !ok {
-			t.stats.FilterNegatives.Add(1)
-		}
-	}
-	return ok
-}
-
-// rangeMayMatch consults the filter for [lo, hi].
-func (t *Table) rangeMayMatch(lo, hi uint64) bool {
-	start := time.Now()
-	ok := t.filter.RangeMayMatch(lo, hi)
-	if t.stats != nil {
-		t.stats.FilterProbes.Add(1)
-		t.stats.FilterProbeNanos.Add(uint64(time.Since(start)))
-		if !ok {
-			t.stats.FilterNegatives.Add(1)
-		}
-	}
-	return ok
-}
-
 // readBlock fetches and parses data block i.
 func (t *Table) readBlock(i int) ([]record, error) {
 	e := t.index[i]
@@ -430,15 +402,8 @@ func (t *Table) readBlock(i int) ([]record, error) {
 	return out, nil
 }
 
-// get looks a key up, going through the filter first.
-func (t *Table) get(key uint64) (value []byte, tomb, found bool, err error) {
-	if !t.keyMayMatch(key) {
-		return nil, false, false, nil
-	}
-	i := t.findBlock(key)
-	if i < 0 {
-		return nil, false, false, nil
-	}
+// getInBlock looks key up in data block i, the one findBlock chose.
+func (t *Table) getInBlock(i int, key uint64) (value []byte, tomb, found bool, err error) {
 	recs, err := t.readBlock(i)
 	if err != nil {
 		return nil, false, false, err
@@ -475,12 +440,10 @@ func (t *Table) findBlock(key uint64) int {
 	return -1
 }
 
-// scan invokes fn for records with lo ≤ key ≤ hi in key order, going
-// through the range filter first. fn returns false to stop.
-func (t *Table) scan(lo, hi uint64, fn func(record) bool) (filtered bool, err error) {
-	if !t.rangeMayMatch(lo, hi) {
-		return true, nil
-	}
+// scan invokes fn for records with lo ≤ key ≤ hi in key order; fn
+// returns false to stop. It reads blocks without consulting the filter:
+// DB.Scan probes every table's filter before it reads any block.
+func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
 	i, n := 0, len(t.index)
 	for i < n && t.index[i].lastKey < lo {
 		i++
@@ -488,19 +451,16 @@ func (t *Table) scan(lo, hi uint64, fn func(record) bool) (filtered bool, err er
 	for ; i < n && t.index[i].firstKey <= hi; i++ {
 		recs, err := t.readBlock(i)
 		if err != nil {
-			return false, err
+			return err
 		}
 		for _, r := range recs {
 			if r.key < lo {
 				continue
 			}
-			if r.key > hi {
-				return false, nil
-			}
-			if !fn(r) {
-				return false, nil
+			if r.key > hi || !fn(r) {
+				return nil
 			}
 		}
 	}
-	return false, nil
+	return nil
 }
