@@ -8,8 +8,8 @@ import (
 	"strings"
 	"sync"
 
-	bloomrf "repro"
 	"repro/internal/bloom"
+	"repro/internal/core"
 	"repro/internal/rosetta"
 	"repro/internal/surf"
 )
@@ -19,9 +19,12 @@ import (
 // the create endpoint accepts a "backend" field and the registry serves any
 // of the four behind the same sharding, batching, snapshot and WAL
 // machinery. The seam is the shardFilter interface below: ShardedFilter
-// holds shardFilter slots instead of concrete *bloomrf.Filter values, and
-// everything above it (batchexec.go, persist.go, the HTTP and binary
-// handlers) is backend-agnostic.
+// holds shardFilter slots instead of concrete filter values, and everything
+// above it (batchexec.go, persist.go, the HTTP and binary handlers) is
+// backend-agnostic, with one exception: hash-routed range queries look
+// through bloomrfShard to its *core.Filter, so that one range plan probes
+// every shard (hashRanges in batchexec.go). Other backends take the
+// interface's shard-by-shard path there.
 //
 // Concurrency contract: ShardedFilter serializes marshals against inserts
 // per shard (MarshalShard takes the shard's write lock, inserts its read
@@ -83,17 +86,17 @@ func newShardFilter(opt FilterOptions, perShard uint64) (shardFilter, error) {
 	switch opt.Backend {
 	case BackendBloomRF:
 		if opt.MaxRange > 0 {
-			f, _, err := bloomrf.NewTuned(bloomrf.Options{
-				ExpectedKeys: perShard,
-				BitsPerKey:   opt.BitsPerKey,
-				MaxRange:     opt.MaxRange,
+			f, _, err := core.NewTuned(core.TuneOptions{
+				N:          perShard,
+				BitsPerKey: opt.BitsPerKey,
+				MaxRange:   opt.MaxRange,
 			})
 			if err != nil {
 				return nil, err
 			}
 			return bloomrfShard{f}, nil
 		}
-		return bloomrfShard{bloomrf.New(perShard, opt.BitsPerKey)}, nil
+		return bloomrfShard{core.NewBasic(perShard, opt.BitsPerKey)}, nil
 	case BackendBloom:
 		return bloomShard{bloom.New(perShard, opt.BitsPerKey)}, nil
 	case BackendRosetta:
@@ -120,7 +123,7 @@ func newShardFilter(opt FilterOptions, perShard uint64) (shardFilter, error) {
 func unmarshalShardFilter(backend string, blob []byte) (shardFilter, error) {
 	switch backend {
 	case BackendBloomRF, "":
-		f, err := bloomrf.Unmarshal(blob)
+		f, err := core.UnmarshalFilter(blob)
 		if err != nil {
 			return nil, err
 		}
@@ -145,10 +148,12 @@ func unmarshalShardFilter(backend string, blob []byte) (shardFilter, error) {
 
 // ---------------------------------------------------------------- bloomRF
 
-// bloomrfShard is the native backend: *bloomrf.Filter already has the whole
+// bloomrfShard is the native backend: *core.Filter already has the whole
 // method set (its bit writes are atomic, so no extra locking), only the
-// stats accessor needs adapting.
-type bloomrfShard struct{ *bloomrf.Filter }
+// stats accessor needs adapting. It holds the core filter rather than the
+// root package's wrapper so that hash-routed range queries can hand every
+// shard to core.MayContainRangeEach (batchexec.go); the blobs are the same.
+type bloomrfShard struct{ *core.Filter }
 
 func (s bloomrfShard) stats() shardStats {
 	st := s.Filter.Stats()

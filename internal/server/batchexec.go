@@ -1,9 +1,11 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -33,7 +35,9 @@ import (
 // sub-batches run inline on the caller's goroutine while the spawned
 // shards work — a 16-key straggler sub-batch costs a function call, not a
 // goroutine hop, and a uniformly-spread batch keeps one goroutine per
-// shard exactly as before.
+// shard exactly as before. Hash-routed range batches never fan out: every
+// shard sees every range, and hashRanges probes them all from one plan per
+// range on the caller's goroutine.
 
 // Per-shard inline caps: in fan-out mode, a sub-batch below the spawn
 // threshold is executed on the caller's goroutine instead of its own.
@@ -115,8 +119,9 @@ func getScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) 
 // carry back into the pool. Buffers grow to the largest request they ever
 // served, and a pooled scratch is reachable for as long as traffic keeps
 // recycling it — without a cap, one worst-case request (a MaxBatch
-// hash-mode range batch sizes flatOut at shards × ranges) would pin
-// hundreds of MiB per P forever (golang.org/issue/23199). 8 MiB keeps
+// range-mode batch whose ranges each straddle many spans sizes flatRanges,
+// flatPos and flatOut at that many entries per range) would pin hundreds
+// of MiB per P forever (golang.org/issue/23199). 8 MiB keeps
 // every routine large batch pooled; monsters are rebuilt on their next
 // appearance, which is what the old per-request make() did on every one.
 const maxRetainedScratchBytes = 8 << 20
@@ -398,79 +403,96 @@ func (s *ShardedFilter) mayContainRangeBatchWith(ranges [][2]uint64, out []bool,
 		return
 	}
 	s.rangeQueries.Add(uint64(len(ranges)))
-	defer func() {
-		var hits uint64
-		for _, ok := range out {
-			if ok {
-				hits++
-			}
-		}
-		s.rangePositives.Add(hits)
-	}()
 	tab := s.tab.Load()
-	n := len(tab.shards)
-	if n == 1 {
+	switch {
+	case tab.part.mode() == PartitionHash:
+		sc.tr.Enter(obs.PhaseProbe)
+		s.hashRanges(tab, ranges, out)
+	case len(tab.shards) == 1:
 		sc.tr.Enter(obs.PhaseProbe)
 		ss := tab.shards[0]
 		ss.rangeProbes.Add(uint64(len(ranges)))
 		ss.f.MayContainRangeBatch(ranges, out)
-		return
-	}
-	if len(ranges) < fanOutMinRanges {
+	case len(ranges) < fanOutMinRanges:
 		sc.tr.Enter(obs.PhaseProbe)
 		for j, r := range ranges {
 			out[j] = s.rangeOne(tab, r[0], r[1])
 		}
-		return
-	}
-	if tab.part.mode() == PartitionRange {
+	default:
 		s.rangeBatchPartitioned(tab, ranges, out, sc)
-		return
 	}
-	// Hash mode: all shards see all ranges; transpose the loops so one
-	// goroutine per shard answers the whole batch against its shard, then
-	// OR the per-shard verdict vectors. The vectors live in one flat
-	// scratch array of n·len(ranges) bools, partitioned per shard.
-	sc.tr.Enter(obs.PhaseProbe)
-	sc.flatOut = grown(sc.flatOut, n*len(ranges))
-	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		ss := tab.shards[sh]
-		ss.rangeProbes.Add(uint64(len(ranges)))
-		sout := sc.flatOut[sh*len(ranges) : (sh+1)*len(ranges)]
-		wg.Add(1)
-		go func(ss *shardState, sout []bool) {
-			defer wg.Done()
-			ss.f.MayContainRangeBatch(ranges, sout)
-		}(ss, sout)
-	}
-	wg.Wait()
-	for j := range out {
-		out[j] = false
-		for sh := 0; sh < n; sh++ {
-			if sc.flatOut[sh*len(ranges)+j] {
-				out[j] = true
-				break
-			}
+	var hits uint64
+	for _, ok := range out {
+		if ok {
+			hits++
 		}
 	}
+	s.rangePositives.Add(hits)
 }
 
 // MayContainRangeBatch tests every [lo, hi] pair and stores the verdicts in
 // out, which must have the same length as ranges (it panics otherwise).
 //
-// Under hash partitioning every range consults every shard, so large
-// batches flip the loop order: one goroutine per shard answers the whole
-// batch against its shard, and the per-shard verdict vectors are ORed —
-// same answers, 1/N wall clock. Under range partitioning the batch is
+// Under hash partitioning every range consults every shard, and the batch
+// runs serially through hashRanges: one range plan per range, executed
+// across all the shards at once. Under range partitioning the batch is
 // instead grouped per owning shard (each range routes to the shards whose
 // span it intersects, typically one), so the total probe work is near 1/N
-// of the hash mode's before any parallelism. Small batches run inline with
-// no heap allocations.
+// of the hash mode's, and large per-shard sub-batches run on their own
+// goroutines. A steady-state call performs no heap allocations, except a
+// range-mode batch large enough to spawn.
 func (s *ShardedFilter) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
 	sc := getScratch()
 	s.mayContainRangeBatchWith(ranges, out, sc)
 	putScratch(sc)
+}
+
+// eachBlock is the most filters core.MayContainRangeEach takes in one
+// call; hashRanges splits larger shard tables (up to MaxShards) into blocks
+// of this size.
+const eachBlock = 64
+
+// hashRanges answers a range batch under hash routing, where every shard
+// may hold keys of every interval: out[j] is the OR over all shards of
+// their MayContainRange(ranges[j]). The shards of a hash-routed filter are
+// built from one Config, so when they are bloomRF the range's plan — the
+// per-layer coverings, decomposition runs and word-group hashes — is the
+// same for all of them, and core.MayContainRangeEach works it out once per
+// range and probes the shards layer-major, eachBlock filters at a time.
+// Other backends answer shard by shard and stop at the first positive.
+// MayContainRange, the single-range HTTP request and every batch size reach
+// hash-routed ranges only through here, and each shard counts one range
+// probe per range, whichever shard answers first.
+func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bool) {
+	var buf [MaxShards]*core.Filter
+	fs := buf[:0]
+	for _, ss := range tab.shards {
+		ss.rangeProbes.Add(uint64(len(ranges)))
+		if b, ok := ss.f.(bloomrfShard); ok {
+			fs = append(fs, b.Filter)
+		}
+	}
+	if len(fs) < len(tab.shards) {
+		for j, r := range ranges {
+			out[j] = slices.ContainsFunc(tab.shards, func(ss *shardState) bool { return ss.f.MayContainRange(r[0], r[1]) })
+		}
+		return
+	}
+	var each [eachBlock]bool
+	for j, r := range ranges {
+		hit := false
+		for lo := 0; lo < len(fs) && !hit; lo += eachBlock {
+			blk := fs[lo:min(lo+eachBlock, len(fs))]
+			if len(blk) == 1 {
+				// No plan to share: the single-filter traversal is cheaper.
+				hit = blk[0].MayContainRange(r[0], r[1])
+				continue
+			}
+			core.MayContainRangeEach(r[0], r[1], blk, each[:len(blk)])
+			hit = slices.Contains(each[:len(blk)], true)
+		}
+		out[j] = hit
+	}
 }
 
 // rangeBatchPartitioned is the large-batch range-mode path: group ranges

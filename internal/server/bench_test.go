@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -97,11 +98,17 @@ func (s *ShardedFilter) queryBatchSerial(keys []uint64, out []bool) {
 	}
 }
 
-// rangeBatchSerial is the PR 1 range path: per range, OR across shards.
+// rangeBatchSerial is the reference range path: per range, the OR of each
+// routed shard's own MayContainRange, shard after shard. It bypasses the
+// shared-plan executor and the probe counters.
 func (s *ShardedFilter) rangeBatchSerial(ranges [][2]uint64, out []bool) {
 	tab := s.tab.Load()
 	for j, r := range ranges {
-		out[j] = s.rangeOne(tab, r[0], r[1])
+		first, last := tab.part.rangeShards(r[0], r[1])
+		out[j] = false
+		for sh := first; sh <= last && !out[j]; sh++ {
+			out[j] = tab.shards[sh].f.MayContainRange(r[0], r[1])
+		}
 	}
 }
 
@@ -164,6 +171,38 @@ func BenchmarkBatchShardedRangeLookup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.MayContainRangeBatch(ranges, out)
 			}
+		})
+	}
+	// The range-json-cached shape (bench/serverload.go): 2^18 keys at 16
+	// bits per key over 8 hash shards, against one filter of the same total
+	// size, queried with 256-range batches whose widths are log-uniform in
+	// [2, 2^14], half of them anchored at a loaded key.
+	for _, shards := range []int{1, 8} {
+		s, err := NewSharded(FilterOptions{ExpectedKeys: 1 << 18, BitsPerKey: 16, Shards: shards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(75))
+		keys := make([]uint64, 1<<18)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		s.InsertBatch(keys)
+		ranges := make([][2]uint64, 256)
+		for i := range ranges {
+			w := uint64(math.Exp2(1 + 13*rng.Float64()))
+			lo := rng.Uint64()
+			if i%2 == 0 {
+				lo = keys[rng.Intn(len(keys))] - rng.Uint64()%w
+			}
+			ranges[i] = [2]uint64{lo, lo + w - 1}
+		}
+		out := make([]bool, len(ranges))
+		b.Run(fmt.Sprintf("cached-shape/shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.MayContainRangeBatch(ranges, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ranges)), "ns/range")
 		})
 	}
 }

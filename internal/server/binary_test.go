@@ -302,8 +302,10 @@ func jsonRangesBody(ranges [][2]uint64) []byte {
 }
 
 // testBatchZeroAlloc serves each op's request, encoded by body in the given
-// Content-Type, through a warm API with 1 and 8 shards and requires zero
-// allocations per request.
+// Content-Type, through a warm API with 1 and 8 hash shards and requires
+// zero allocations per request. Range queries go in two sizes: 8 ranges,
+// and 256, past fanOutMinRanges, the shape of the range-json-cached
+// benchmark workload.
 func testBatchZeroAlloc(t *testing.T, contentType string, body func(op latOp, keys []uint64, ranges [][2]uint64) []byte) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on the measured path; run without -race")
@@ -316,15 +318,22 @@ func testBatchZeroAlloc(t *testing.T, contentType string, body func(op latOp, ke
 			for i := range keys {
 				keys[i] = rng.Uint64()
 			}
-			ranges := make([][2]uint64, 8) // below fanOutMinRanges
+			ranges := make([][2]uint64, 256)
 			for i := range ranges {
 				lo := rng.Uint64()
 				ranges[i] = [2]uint64{lo, lo + 1000}
 			}
-			for _, op := range []latOp{opQuery, opQueryRange, opInsert} {
+			for _, rq := range []struct {
+				op     latOp
+				ranges [][2]uint64
+			}{{opQuery, nil}, {opQueryRange, ranges[:8]}, {opQueryRange, ranges}, {opInsert, nil}} {
+				op := rq.op
 				name := latOpNames[op]
-				rb := &rewindableBody{data: body(op, keys, ranges)}
-				req := httptest.NewRequest("POST", "/v1/filters/f/"+name, rb)
+				if op == opQueryRange {
+					name = fmt.Sprintf("%s/ranges=%d", name, len(rq.ranges))
+				}
+				rb := &rewindableBody{data: body(op, keys, rq.ranges)}
+				req := httptest.NewRequest("POST", "/v1/filters/f/"+latOpNames[op], rb)
 				req.Header.Set("Content-Type", contentType)
 				req.Body = rb
 				w := &nullResponseWriter{h: make(http.Header)}

@@ -10,8 +10,10 @@
 //     the name table; filter operations never serialize on it.
 //   - ShardedFilter (this file) splits one logical filter across N
 //     independent bloomRF instances so concurrent inserts land on disjoint
-//     bit arrays, and fans batch operations out one goroutine per shard
-//     through the zero-allocation batch APIs.
+//     bit arrays, and fans large batch operations out one goroutine per
+//     shard through the zero-allocation batch APIs (batchexec.go). A
+//     hash-routed range query is the exception: it probes every shard from
+//     one range plan, serially, since all the shards share one layout.
 //   - partitioner (partition.go) is the routing strategy between them:
 //     which shard owns a key, and which shards a range query must probe.
 //
@@ -21,6 +23,7 @@
 //     queries spread uniformly whatever the key distribution, but a key
 //     interval scatters across every shard, so a range query ORs all N
 //     shard answers and the range false-positive rate grows roughly N-fold.
+//     The decomposition is shared: one plan per range serves all N shards.
 //   - range: the uint64 keyspace splits into N contiguous spans (equal
 //     width at create time; live span splits may divide them further —
 //     split.go). Point ops still touch exactly one shard, and a range query
@@ -65,7 +68,8 @@ const MaxFilterBits = 1 << 36
 // (a dyadic decomposition per shard), hence the asymmetric cutoffs. Above
 // the threshold the fan-out is still per-shard selective: sub-batches
 // smaller than the inline thresholds in batchexec.go run on the caller's
-// goroutine.
+// goroutine. fanOutMinRanges applies under range partitioning only; a
+// hash-routed range batch always runs serially (hashRanges).
 const (
 	fanOutMinKeys   = 2048
 	fanOutMinRanges = 16
@@ -553,15 +557,24 @@ func (s *ShardedFilter) MayContain(key uint64) bool {
 }
 
 // rangeOne probes one [lo, hi] query against the shards the partitioner
-// routes it to — every shard under hash partitioning, only span-overlapping
-// shards under range partitioning — ORing the answers and early-exiting on
-// the first positive. Callers account the query-level metrics.
+// routes it to: under hash partitioning every shard, through hashRanges;
+// under range partitioning the span-overlapping shards, ORing the answers
+// and stopping at the first positive. Every routed shard counts one range
+// probe, whether or not the loop reached it. Callers account the
+// query-level metrics.
 func (s *ShardedFilter) rangeOne(tab *shardTable, lo, hi uint64) bool {
+	if tab.part.mode() == PartitionHash {
+		r := [1][2]uint64{{lo, hi}}
+		var out [1]bool
+		s.hashRanges(tab, r[:], out[:])
+		return out[0]
+	}
 	first, last := tab.part.rangeShards(lo, hi)
 	for sh := first; sh <= last; sh++ {
-		ss := tab.shards[sh]
-		ss.rangeProbes.Add(1)
-		if ss.f.MayContainRange(lo, hi) {
+		tab.shards[sh].rangeProbes.Add(1)
+	}
+	for sh := first; sh <= last; sh++ {
+		if tab.shards[sh].f.MayContainRange(lo, hi) {
 			return true
 		}
 	}
