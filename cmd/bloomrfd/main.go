@@ -38,11 +38,9 @@
 // stream goes silent, and -auto-promote (off by default) promotes a fully
 // caught-up standby automatically once that timeout expires.
 //
-// With -probe-file set, bloomrfd is a load-generation client instead of a
-// server: it reads keys (or "lo hi" ranges) from the file and fires them
-// at -probe-url in batches, over the JSON or the binary wire codec, and
-// reports end-to-end throughput (see probe.go). Latency is measured by
-// the paced open-loop client in bench/ instead (bench/README.md).
+// To generate load or measure throughput and latency against a running
+// server, use the benchmark client in bench/ (bash bench/run.sh, see
+// bench/README.md).
 //
 // -max-inflight-batches bounds how many batch requests the server serves
 // concurrently; excess load is shed with 429 + Retry-After instead of
@@ -88,7 +86,7 @@ func main() {
 	walSegmentBytes := flag.Int64("wal-segment-bytes", wal.DefaultSegmentBytes,
 		"rotate WAL segments at this size; old segments are truncated once snapshots cover them")
 	authToken := flag.String("auth-token", "",
-		"bearer token required on mutating endpoints (create/insert/snapshot/delete) and the replication stream; empty leaves them open; $BLOOMRFD_AUTH_TOKEN is used when the flag is unset; with -follow or -probe-file, also the credential presented to the target server")
+		"bearer token required on mutating endpoints (create/insert/snapshot/delete) and the replication stream; empty leaves them open; $BLOOMRFD_AUTH_TOKEN is used when the flag is unset; with -follow, also the credential presented to the primary")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this loopback-only address (e.g. 127.0.0.1:6060) for hot-path diagnosis; empty disables")
 	skewThreshold := flag.Float64("skew-alert-threshold", 2.0,
@@ -98,7 +96,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight-batches", 0,
 		"admission control: bound concurrently served batch requests (insert/query/query-range); beyond it the server sheds load with 429 + Retry-After instead of queueing; 0 disables")
 	logFormat := flag.String("log-format", "text",
-		"serving-mode log rendering: text (human-readable key=value) or json (one object per line, for log shippers)")
+		"process log rendering: text (human-readable key=value) or json (one object per line, for log shippers)")
 	slowReqThreshold := flag.Duration("slow-request-threshold", 100*time.Millisecond,
 		"emit one structured slow-request log line (full per-phase time breakdown, rate-limited to 1/s per filter) for any request slower than this; 0 disables")
 	follow := flag.String("follow", "",
@@ -109,20 +107,6 @@ func main() {
 		"with -follow, -data-dir and -replication-heartbeat-timeout: promote this standby to a writable primary automatically once the primary has been unreachable past the timeout and the standby is fully caught up (never promotes over known lag)")
 	stepDown := flag.Bool("step-down-on-higher-epoch", true,
 		"with -follow: when the primary announces a higher promotion epoch, discard local stream state and re-bootstrap from the new primary; =false exits the stream loop with a terminal error instead")
-	probeFile := flag.String("probe-file", "",
-		"run as a load-generation client instead of a server: read keys (one per line) or ranges (\"lo hi\" per line) from this file and fire them at -probe-url in batches")
-	probeURL := flag.String("probe-url", "http://127.0.0.1:8077",
-		"target server for -probe-file")
-	probeFilter := flag.String("probe-filter", "probe",
-		"filter name -probe-file operates on")
-	probeOp := flag.String("probe-op", "query",
-		"operation -probe-file performs: insert, query, or query-range")
-	probeCodec := flag.String("probe-codec", "binary",
-		"wire codec for -probe-file: binary (application/x-bloomrf-batch) or json")
-	probeBatch := flag.Int("probe-batch", 8192,
-		"items per request for -probe-file")
-	probeRounds := flag.Int("probe-rounds", 1,
-		"how many passes -probe-file makes over the file")
 	flag.Parse()
 
 	defaultPart := server.Partitioning(*partitioning)
@@ -143,21 +127,9 @@ func main() {
 		token = os.Getenv("BLOOMRFD_AUTH_TOKEN")
 	}
 
-	if *probeFile != "" {
-		// Client mode: generate load against a running bloomrfd, then exit.
-		if err := runProbe(probeOptions{
-			File: *probeFile, URL: *probeURL, Filter: *probeFilter,
-			Op: *probeOp, Codec: *probeCodec, Batch: *probeBatch,
-			Rounds: *probeRounds, AuthToken: token,
-		}, os.Stdout); err != nil {
-			log.Fatalf("bloomrfd: probe: %v", err)
-		}
-		return
-	}
-
-	// Serving mode from here on: one leveled structured logger owns every
-	// line — main's operational messages, the server package's Logf hooks,
-	// snapshotter/follower diagnostics, slow-request JSON lines.
+	// One leveled structured logger owns every line — main's operational
+	// messages, the server package's Logf hooks, snapshotter/follower
+	// diagnostics, slow-request JSON lines.
 	logger, err := newAppLogger(*logFormat)
 	if err != nil {
 		log.Fatalf("bloomrfd: %v", err)

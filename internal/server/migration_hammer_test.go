@@ -31,7 +31,7 @@ import (
 //     extra-FP headroom is itself bounded to catch a filter that decayed
 //     to answering "maybe" for everything.
 //
-// Run it under -race (the CI split-e2e job does): the interesting bugs
+// Run it under -race (the CI e2e job does): the interesting bugs
 // here are orderings, not outcomes.
 
 // hammerScale shrinks the workload under the race detector, which
