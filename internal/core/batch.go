@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 
 	"repro/internal/hashutil"
 )
@@ -121,6 +122,7 @@ func (f *Filter) InsertBatch(keys []uint64) {
 			}
 		}
 	}
+	runtime.KeepAlive(f) // the words' owner (bitArray)
 }
 
 // MayContainBatch tests every key in keys and stores the verdicts in out,
@@ -237,6 +239,7 @@ func (f *Filter) MayContainBatch(keys []uint64, out []bool) {
 			}
 		}
 	}
+	runtime.KeepAlive(f)
 }
 
 // MayContainRangeBatch tests every [lo, hi] pair in ranges and stores the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sync/atomic"
 )
@@ -9,12 +10,69 @@ import (
 // atomic OR and readers atomic loads, so concurrent inserts and probes are
 // race-free without locking — bloomRF is an online, parallel structure
 // (paper §1 contribution (a), evaluated in Experiment 4).
+//
+// The words of a large filter live in a mapping outside the Go heap
+// (newBitArrays). A pointer into the mapping keeps nothing alive, so every
+// copy of the array carries owner, and the mapping is released only once
+// no owner is reachable. A method that loads words through a bare slice
+// must keep its filter reachable until the last load: every exported
+// Filter method that touches words ends in runtime.KeepAlive, or hands the
+// work to one that does.
 type bitArray struct {
 	words []uint64
+	owner *wordMapping // nil for words on the Go heap
 }
 
-func newBitArray(nbits uint64) bitArray {
-	return bitArray{words: make([]uint64, (nbits+63)/64)}
+// mapMinBytes is the smallest filter, in bytes of words, whose words are
+// mapped outside the Go heap. The collector sizes its heap target at twice
+// the live heap, so a filter that dominates the live heap costs its own size
+// again in headroom; off the heap it costs nothing. Below the constant a
+// filter keeps heap slices: a mapping is a system call and a kernel memory
+// area per filter, and the cache-resident shards (64 KiB) and LSM filter
+// blocks (tens of KiB) stay counted in the heap numbers that report them.
+const mapMinBytes = 1 << 20
+
+// wordMapping owns one mapping of filter words. Its cleanup, registered by
+// mapWords, unmaps mem once the owner is unreachable; the owner holds mem
+// so that it is never a tiny pointer-free object, which the runtime may
+// batch with others and never clean up.
+type wordMapping struct {
+	mem []byte
+}
+
+// mappedBytes is the size of every live mapping of filter words.
+var mappedBytes atomic.Int64
+
+// MappedBytes returns the bytes of filter words currently mapped outside
+// the Go heap. A dropped filter's mapping counts until the collector has
+// found it unreachable.
+func MappedBytes() int64 { return mappedBytes.Load() }
+
+// newBitArrays returns one zeroed bit array per entry of nbits. When they
+// total mapMinBytes or more they are carved from one mapping (mapWords);
+// otherwise, or where mapping is unavailable or fails, each gets its own
+// heap slice.
+func newBitArrays(nbits []uint64) []bitArray {
+	arrs := make([]bitArray, len(nbits))
+	var total uint64
+	for _, b := range nbits {
+		total += (b + 63) / 64
+	}
+	var words []uint64
+	var owner *wordMapping
+	if total*8 >= mapMinBytes {
+		words, owner = mapWords(total)
+	}
+	for i, b := range nbits {
+		n := (b + 63) / 64
+		if owner == nil {
+			arrs[i].words = make([]uint64, n)
+			continue
+		}
+		arrs[i] = bitArray{words: words[:n:n], owner: owner}
+		words = words[n:]
+	}
+	return arrs
 }
 
 // setBit atomically sets the bit at pos.
@@ -79,14 +137,22 @@ func (b *bitArray) onesCount() uint64 {
 // size returns the capacity in bits.
 func (b *bitArray) size() uint64 { return uint64(len(b.words)) * 64 }
 
-// snapshot returns a copy of the raw storage words (for scatter analysis
-// and serialization).
+// snapshot returns a copy of the raw storage words (for scatter analysis).
 func (b *bitArray) snapshot() []uint64 {
 	out := make([]uint64, len(b.words))
 	for i := range b.words {
 		out[i] = atomic.LoadUint64(&b.words[i])
 	}
 	return out
+}
+
+// appendTo appends the storage words to buf, little endian, each read with
+// one atomic load: serialization copies the words once, into buf.
+func (b *bitArray) appendTo(buf []byte) []byte {
+	for i := range b.words {
+		buf = binary.LittleEndian.AppendUint64(buf, atomic.LoadUint64(&b.words[i]))
+	}
+	return buf
 }
 
 // lowMask returns a mask of the low n bits, handling n ≥ 64.

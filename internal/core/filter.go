@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/hashutil"
 )
@@ -68,16 +69,17 @@ func New(cfg Config) (*Filter, error) {
 		mods:     make([]modulus, k),
 		replicas: make([]int, k),
 		seeds:    make([][]uint64, k),
-		segs:     make([]bitArray, len(cfg.SegBits)),
 		permute:  cfg.PermuteWords,
 		maxScan:  DefaultMaxScanGroups,
 	}
 	if cfg.MaxScanGroups > 0 {
 		f.maxScan = uint64(cfg.MaxScanGroups)
 	}
-	for s, b := range cfg.SegBits {
-		f.segs[s] = newBitArray(b)
-	}
+	// The segments and, last, the exact bitmap (empty unless cfg.Exact)
+	// are sized together, so that a large filter maps them as one.
+	nsegs := len(cfg.SegBits)
+	arrs := newBitArrays(append(cfg.SegBits[:nsegs:nsegs], cfg.ExactBits()))
+	f.segs, f.exact = arrs[:nsegs], arrs[nsegs]
 	lvl := uint(0)
 	for i := 0; i < k; i++ {
 		f.levels[i] = lvl
@@ -101,7 +103,6 @@ func New(cfg Config) (*Filter, error) {
 	if cfg.Exact {
 		f.hasExact = true
 		f.exactLevel = lvl
-		f.exact = newBitArray(cfg.ExactBits())
 		f.planLevels = append(f.levels[:k:k], lvl)
 	}
 	f.planKey, f.planKeyOK = planKeyOf(f)
@@ -210,12 +211,19 @@ func (f *Filter) Insert(x uint64) {
 	if f.hasExact {
 		f.exact.setBit(rsh(x, f.exactLevel))
 	}
+	runtime.KeepAlive(f) // the words' owner (bitArray)
 }
 
 // MayContain reports whether x may have been inserted. False means
 // definitely absent; true means present with probability 1 − FPR.
 // Safe for concurrent use with Insert.
 func (f *Filter) MayContain(x uint64) bool {
+	ok := f.mayContain(x)
+	runtime.KeepAlive(f)
+	return ok
+}
+
+func (f *Filter) mayContain(x uint64) bool {
 	if f.hasExact && !f.exact.getBit(rsh(x, f.exactLevel)) {
 		return false
 	}
@@ -260,12 +268,18 @@ func (f *Filter) SizeBits() uint64 {
 
 // FillRatio returns the fraction of set bits in probabilistic segment s.
 func (f *Filter) FillRatio(s int) float64 {
-	return float64(f.segs[s].onesCount()) / float64(f.segs[s].size())
+	r := float64(f.segs[s].onesCount()) / float64(f.segs[s].size())
+	runtime.KeepAlive(f)
+	return r
 }
 
 // SegmentSnapshot returns a copy of the raw words of probabilistic segment
 // s, used by the Fig. 5 scatter analysis.
-func (f *Filter) SegmentSnapshot(s int) []uint64 { return f.segs[s].snapshot() }
+func (f *Filter) SegmentSnapshot(s int) []uint64 {
+	w := f.segs[s].snapshot()
+	runtime.KeepAlive(f)
+	return w
+}
 
 // NumSegments returns the number of probabilistic segments.
 func (f *Filter) NumSegments() int { return len(f.segs) }
@@ -311,6 +325,7 @@ func (f *Filter) Stats() Stats {
 		st.SetBits += ones
 		st.FillRatios[i] = float64(ones) / float64(f.segs[i].size())
 	}
+	runtime.KeepAlive(f)
 	return st
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"runtime"
+)
 
 // Paths of the two-path range lookup. Algorithm 1 follows one prefix path
 // while a single dyadic interval holds both query bounds (pathS), then
@@ -155,7 +158,9 @@ func (p *rangePlan) layer(i int, live uint8, l *planLayer) {
 // range size.
 func (f *Filter) MayContainRange(lo, hi uint64) bool {
 	lo, hi, ok := f.clampRange(lo, hi)
-	return ok && f.execPlan(newRangePlan(lo, hi, f.planLevels))
+	ok = ok && f.execPlan(newRangePlan(lo, hi, f.planLevels))
+	runtime.KeepAlive(f) // the words' owner (bitArray)
+	return ok
 }
 
 // execPlan runs a plan against f, whose layout must share it.
@@ -229,6 +234,7 @@ func MayContainRangeEach(lo, hi uint64, fs []*Filter, out []bool) {
 	if lo, hi, ok := f.clampRange(lo, hi); ok {
 		f.execEach(newRangePlan(lo, hi, f.planLevels), fs, out, shared)
 	}
+	runtime.KeepAlive(fs) // every filter, and with it its words' owner
 }
 
 // execEach runs a plan made for f's layout against the filters of fs in

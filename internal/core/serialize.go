@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/hashutil"
 )
@@ -68,14 +69,11 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.maxScan))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f.exact.words)))
-	for _, w := range f.exact.snapshot() {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
+	buf = f.exact.appendTo(buf)
 	for i := range f.segs {
-		for _, w := range f.segs[i].snapshot() {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
+		buf = f.segs[i].appendTo(buf)
 	}
+	runtime.KeepAlive(f) // the words' owner (bitArray)
 	buf = binary.LittleEndian.AppendUint64(buf, hashutil.HashBytes(buf, 0))
 	return buf, nil
 }

@@ -120,3 +120,19 @@ func TestUnmarshalRejectsBadVersion(t *testing.T) {
 		t.Error("bad version accepted")
 	}
 }
+
+// TestMarshalOneAlloc pins that marshaling copies the words straight into
+// the output buffer: one allocation, whatever the number of segments.
+func TestMarshalOneAlloc(t *testing.T) {
+	f, _, err := NewTuned(TuneOptions{N: 5000, BitsPerKey: 16, MaxRange: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumSegments() < 2 || !f.HasExact() {
+		t.Fatalf("want a filter with several segments and an exact bitmap, got %d segments, exact %v",
+			f.NumSegments(), f.HasExact())
+	}
+	if n := testing.AllocsPerRun(20, func() { f.MarshalBinary() }); n != 1 {
+		t.Fatalf("MarshalBinary made %v allocations, want 1", n)
+	}
+}

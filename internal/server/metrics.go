@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -333,7 +334,8 @@ func filterPhaseMetrics(m *metricsWriter, name string, f *ShardedFilter) {
 }
 
 // goRuntimeMetrics exports process-health gauges from runtime/metrics,
-// read fresh per scrape, plus the build-info gauge.
+// read fresh per scrape, the filter words mapped outside the Go heap, and
+// the build-info gauge.
 func goRuntimeMetrics(m *metricsWriter) {
 	samples := []metrics.Sample{
 		{Name: "/sched/goroutines:goroutines"},
@@ -349,6 +351,8 @@ func goRuntimeMetrics(m *metricsWriter) {
 		m.sample("bloomrfd_go_heap_objects_bytes", "Bytes of live heap objects.", "gauge", nil,
 			float64(samples[1].Value.Uint64()))
 	}
+	m.sample("bloomrfd_filter_mapped_bytes", "Bytes of filter words mapped outside the Go heap.", "gauge", nil,
+		float64(core.MappedBytes()))
 	if samples[2].Value.Kind() == metrics.KindFloat64 {
 		m.sample("bloomrfd_go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter", nil,
 			samples[2].Value.Float64())

@@ -342,7 +342,7 @@ func TestMetricsPrometheusConformance(t *testing.T) {
 		"bloomrfd_replication_record_lag_bytes", "bloomrfd_replication_reconnects_total",
 		"bloomrfd_filter_split_seconds_total", "bloomrfd_filter_snapshot_duration_seconds",
 		"bloomrfd_go_goroutines", "bloomrfd_go_heap_objects_bytes",
-		"bloomrfd_go_gc_pause_seconds_total", "bloomrfd_build_info",
+		"bloomrfd_go_gc_pause_seconds_total", "bloomrfd_filter_mapped_bytes", "bloomrfd_build_info",
 		"bloomrfd_role", "bloomrfd_epoch", "bloomrfd_promotions_total",
 		"bloomrfd_fencing_rejections_total", "bloomrfd_readonly_mode",
 		"bloomrfd_replication_primary_unreachable", "bloomrfd_replication_backoff_seconds",
