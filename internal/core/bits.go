@@ -146,10 +146,11 @@ func (b *bitArray) snapshot() []uint64 {
 	return out
 }
 
-// appendTo appends the storage words to buf, little endian, each read with
-// one atomic load: serialization copies the words once, into buf.
-func (b *bitArray) appendTo(buf []byte) []byte {
-	for i := range b.words {
+// appendWords appends the storage words [from, to) to buf, little endian,
+// each read with one atomic load: serialization copies the words once, into
+// buf.
+func (b *bitArray) appendWords(buf []byte, from, to int) []byte {
+	for i := from; i < to; i++ {
 		buf = binary.LittleEndian.AppendUint64(buf, atomic.LoadUint64(&b.words[i]))
 	}
 	return buf

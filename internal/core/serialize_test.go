@@ -1,8 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 func roundTrip(t *testing.T, f *Filter) *Filter {
@@ -134,5 +141,156 @@ func TestMarshalOneAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { f.MarshalBinary() }); n != 1 {
 		t.Fatalf("MarshalBinary made %v allocations, want 1", n)
+	}
+}
+
+// streamFamilies returns one filter of every layout family the range-plan
+// tests cover, a filter whose words are mapped (1 MiB and more, many
+// chunks) and a tuned filter with several segments and an exact bitmap.
+func streamFamilies(t *testing.T) []*Filter {
+	t.Helper()
+	var fs []*Filter
+	for _, fam := range planFamilies(t) {
+		fs = append(fs, fam.same[0])
+	}
+	big := NewBasic(1<<19, 16)
+	for i := uint64(0); i < 1<<16; i++ {
+		big.Insert(i * 0x9e3779b97f4a7c15)
+	}
+	if big.SizeBits()/8 < mapMinBytes {
+		t.Fatalf("the large filter (%d bytes) is not mapped", big.SizeBits()/8)
+	}
+	tuned, _, err := NewTuned(TuneOptions{N: 50_000, BitsPerKey: 16, MaxRange: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(52))
+	for i := 0; i < 50_000; i++ {
+		tuned.Insert(rng.Uint64())
+	}
+	return append(fs, big, tuned, goldenFilter())
+}
+
+// TestWriteToMatchesMarshalBinary pins that the streamed bytes are the
+// MarshalBinary bytes, for every layout family and the golden blob, and
+// that ReadFilter restores them, fed a byte at a time or in odd pieces.
+func TestWriteToMatchesMarshalBinary(t *testing.T) {
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed bytes.Buffer
+	if _, err := goldenFilter().WriteTo(&streamed); err != nil || !bytes.Equal(streamed.Bytes(), golden) {
+		t.Fatalf("the golden filter streams other bytes than the golden blob (err %v)", err)
+	}
+	for i, f := range streamFamilies(t) {
+		want, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		n, err := f.WriteTo(&buf)
+		if err != nil || n != int64(len(want)) {
+			t.Fatalf("family %d: WriteTo wrote %d bytes, err %v; MarshalBinary has %d", i, n, err, len(want))
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("family %d: WriteTo bytes differ from MarshalBinary", i)
+		}
+		for _, r := range []io.Reader{iotest.OneByteReader(bytes.NewReader(want)), iotest.HalfReader(bytes.NewReader(want))} {
+			g, err := ReadFilter(r, int64(len(want)))
+			if err != nil {
+				t.Fatalf("family %d: ReadFilter: %v", i, err)
+			}
+			if got, _ := g.MarshalBinary(); !bytes.Equal(got, want) {
+				t.Fatalf("family %d: ReadFilter did not restore the same bytes", i)
+			}
+		}
+	}
+}
+
+// TestReadFilterRejectsDamage feeds ReadFilter blobs cut short at every
+// part of the format, bit-flipped, lengthened, or announced at the wrong
+// size: each must fail with ErrCorrupt, whatever the reader's piece size.
+func TestReadFilterRejectsDamage(t *testing.T) {
+	f, _, err := NewTuned(TuneOptions{N: 20_000, BitsPerKey: 16, MaxRange: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 20_000; i++ {
+		f.Insert(i * 7919)
+	}
+	blob, _ := f.MarshalBinary()
+	check := func(what string, data []byte, size int64) {
+		t.Helper()
+		for _, r := range []io.Reader{bytes.NewReader(data), iotest.HalfReader(bytes.NewReader(data))} {
+			if _, err := ReadFilter(r, size); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: ReadFilter error %v, want ErrCorrupt", what, err)
+			}
+		}
+	}
+	for _, cut := range []int{0, 3, 8, 20, 100, len(blob) / 3, len(blob) - 9, len(blob) - 1} {
+		check(fmt.Sprintf("cut at %d, announced whole", cut), blob[:cut], int64(len(blob)))
+		check(fmt.Sprintf("cut at %d, announced cut", cut), blob[:cut], int64(cut))
+	}
+	for _, at := range []int{5, 30, len(blob) / 2, len(blob) - 3} {
+		c := append([]byte(nil), blob...)
+		c[at] ^= 0x10
+		check(fmt.Sprintf("bit flip at %d", at), c, int64(len(c)))
+	}
+	long := append(append([]byte(nil), blob...), 0)
+	check("one byte past the end, announced whole", long, int64(len(blob)))
+	check("one byte past the end, announced long", long, int64(len(long)))
+	check("announced huge", blob, 1<<50)
+}
+
+// TestWriteToReportsWriteErrors pins that a failing writer stops the
+// stream and surfaces its error.
+func TestWriteToReportsWriteErrors(t *testing.T) {
+	f := NewBasic(1<<17, 16)
+	boom := errors.New("disk full")
+	w := &failAfter{n: 100 << 10, err: boom}
+	if _, err := f.WriteTo(w); !errors.Is(err, boom) {
+		t.Fatalf("WriteTo error %v, want %v", err, boom)
+	}
+}
+
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return w.n, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestStreamHoldsNoFilterCopy pins that neither direction of the stream
+// holds a copy of the filter on the Go heap: a mapped 2 MiB filter writes
+// through one 64 KiB chunk and reads back through one more.
+func TestStreamHoldsNoFilterCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on the measured path; run without -race")
+	}
+	f := NewBasic(1<<20, 16)
+	var blob bytes.Buffer
+	if _, err := f.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	data := blob.Bytes()
+	heapBytes := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := heapBytes(func() { f.WriteTo(io.Discard) }); got > 2*serChunkBytes {
+		t.Errorf("WriteTo of a %d-byte filter allocated %d bytes", len(data), got)
+	}
+	if got := heapBytes(func() { ReadFilter(bytes.NewReader(data), int64(len(data))) }); got > 2*serChunkBytes {
+		t.Errorf("ReadFilter of a %d-byte filter allocated %d bytes", len(data), got)
 	}
 }

@@ -36,13 +36,34 @@ const (
 // HashBytes hashes a byte string with a seed using FNV-1a followed by a
 // finalizing mix. It is used for string keys and for filter-block checksums.
 func HashBytes(b []byte, seed uint64) uint64 {
-	h := uint64(fnvOffset64) ^ Mix64(seed)
+	h := NewBytesHasher(seed)
+	h.Update(b)
+	return h.Sum()
+}
+
+// BytesHasher computes HashBytes over a byte string fed in pieces: after
+// Update with each piece in order, Sum equals HashBytes of their
+// concatenation under the same seed. Streamed filter blocks checksum
+// through it without holding the whole block.
+type BytesHasher struct{ h uint64 }
+
+// NewBytesHasher starts a HashBytes computation under seed.
+func NewBytesHasher(seed uint64) BytesHasher {
+	return BytesHasher{h: uint64(fnvOffset64) ^ Mix64(seed)}
+}
+
+// Update feeds the next piece of the byte string.
+func (bh *BytesHasher) Update(b []byte) {
+	h := bh.h
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime64
 	}
-	return Mix64(h)
+	bh.h = h
 }
+
+// Sum returns the hash of everything fed so far.
+func (bh *BytesHasher) Sum() uint64 { return Mix64(bh.h) }
 
 // HashString is HashBytes for strings without forcing a []byte conversion
 // allocation at call sites that only have a string.

@@ -53,6 +53,19 @@ func TestHashBytesMatchesHashString(t *testing.T) {
 	}
 }
 
+func TestBytesHasherMatchesHashBytes(t *testing.T) {
+	f := func(b []byte, cut uint, seed uint64) bool {
+		i := int(cut % uint(len(b)+1))
+		h := NewBytesHasher(seed)
+		h.Update(b[:i])
+		h.Update(b[i:])
+		return h.Sum() == HashBytes(b, seed)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHashBytesDistinguishesInputs(t *testing.T) {
 	if HashBytes([]byte("a"), 0) == HashBytes([]byte("b"), 0) {
 		t.Fatal("trivial collision")

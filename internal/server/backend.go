@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -26,12 +27,13 @@ import (
 // every shard (hashRanges in batchexec.go). Other backends take the
 // interface's shard-by-shard path there.
 //
-// Concurrency contract: ShardedFilter serializes marshals against inserts
-// per shard (MarshalShard takes the shard's write lock, inserts its read
-// side), but inserts run concurrently with each other and with queries on
-// the same shard. bloomRF and the classic Bloom filter tolerate that (their
-// writes are atomic bit sets); Rosetta's and SuRF's are not, so their
-// adapters carry an internal lock.
+// Concurrency contract: inserts run concurrently with each other, with
+// queries and with snapshot streams on the same shard (a snapshot only
+// drains the shard's inserts under its write lock, then writes the blob
+// without it; MarshalShard, for splits, marshals under the write lock).
+// bloomRF and the classic Bloom filter tolerate that (their writes are
+// atomic bit sets, their marshals atomic loads); Rosetta's and SuRF's are
+// not, so their adapters carry an internal lock.
 
 // Backend names accepted by FilterOptions.Backend and the create endpoint.
 const (
@@ -144,6 +146,43 @@ func unmarshalShardFilter(backend string, blob []byte) (shardFilter, error) {
 		return unmarshalSurfShard(blob)
 	}
 	return nil, fmt.Errorf("server: unknown backend %q (have %s)", backend, strings.Join(Backends(), ", "))
+}
+
+// writeShard writes one shard's snapshot blob to w and returns its size:
+// bloomRF streams its words (core.Filter.WriteTo) without a copy of the
+// filter, the other backends marshal a blob and write it.
+func writeShard(w io.Writer, f shardFilter) (int64, error) {
+	if wt, ok := f.(io.WriterTo); ok {
+		return wt.WriteTo(w)
+	}
+	blob, err := f.MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(blob)
+	return int64(n), err
+}
+
+// readShardFilter restores one shard from r, which must yield exactly size
+// bytes of snapshot blob: bloomRF reads straight into its word array
+// (core.ReadFilter), the other backends read the blob whole and unmarshal
+// it.
+func readShardFilter(backend string, r io.Reader, size int64) (shardFilter, error) {
+	if backend == BackendBloomRF || backend == "" {
+		f, err := core.ReadFilter(r, size)
+		if err != nil {
+			return nil, err
+		}
+		return bloomrfShard{f}, nil
+	}
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(blob)) != size {
+		return nil, fmt.Errorf("%d bytes, manifest says %d", len(blob), size)
+	}
+	return unmarshalShardFilter(backend, blob)
 }
 
 // ---------------------------------------------------------------- bloomRF

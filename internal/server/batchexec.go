@@ -77,9 +77,11 @@ func spawnThreshold(total, n, inlineCap int) int {
 // shared; the flat arrays are partitioned by offs so concurrent per-shard
 // goroutines touch disjoint segments.
 type batchScratch struct {
-	// Request/response byte buffers for the binary codec (binary.go).
+	// Request/response byte buffers for the binary codec (binary.go), and
+	// the WAL record of a durable insert (encodeInsert).
 	body []byte
 	resp []byte
+	rec  []byte
 
 	// Decoded request payloads.
 	keys   []uint64
@@ -128,7 +130,7 @@ const maxRetainedScratchBytes = 8 << 20
 
 // retainedBytes approximates the scratch's total buffer capacity.
 func (sc *batchScratch) retainedBytes() int {
-	return cap(sc.body) + cap(sc.resp) +
+	return cap(sc.body) + cap(sc.resp) + cap(sc.rec) +
 		8*cap(sc.keys) + 16*cap(sc.ranges) + cap(sc.out) +
 		cap(sc.ids) + 8*(cap(sc.counts)+cap(sc.offs)+cap(sc.cursors)) +
 		8*cap(sc.flatKeys) + 16*cap(sc.flatRanges) + 8*cap(sc.flatPos) + cap(sc.flatOut)

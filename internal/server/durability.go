@@ -87,12 +87,15 @@ func decodeCreate(data []byte) (createPayload, error) {
 	return p, nil
 }
 
-// encodeInsert builds a recInsert record.
-func encodeInsert(name string, keys []uint64) (wal.Record, error) {
+// encodeInsert builds a recInsert record in buf, grown when it is too
+// short; the record's Data is that buffer. The durable insert handler
+// passes its pooled request scratch: wal.Log.Append copies the record into
+// its commit buffer before it returns, so the scratch is free for reuse.
+func encodeInsert(buf []byte, name string, keys []uint64) (wal.Record, error) {
 	if len(name) > MaxNameLen {
 		return wal.Record{}, fmt.Errorf("server: name of %d bytes in insert record", len(name))
 	}
-	data := make([]byte, 2+len(name)+8*len(keys))
+	data := grown(buf, 2+len(name)+8*len(keys))
 	binary.LittleEndian.PutUint16(data[0:2], uint16(len(name)))
 	copy(data[2:], name)
 	off := 2 + len(name)

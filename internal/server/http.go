@@ -647,7 +647,8 @@ func (a *API) serveOp(w http.ResponseWriter, r *http.Request, op latOp, c batchC
 		// group-commit into one WAL write, and a snapshot that captured the
 		// log end P is guaranteed to contain every record below P. Without
 		// a WAL there is nothing to encode, which keeps serving-only inserts
-		// allocation-free. The apply+append pair runs inside the filter's
+		// allocation-free; with one, the record is encoded into the pooled
+		// scratch. The apply+append pair runs inside the filter's
 		// mutation drain gate so a concurrent span split can prove every
 		// straggler's record is in the log before it backfills (split.go
 		// phase 5).
@@ -655,7 +656,8 @@ func (a *API) serveOp(w http.ResponseWriter, r *http.Request, op latOp, c batchC
 		f.insertBatchWith(sc.keys, sc)
 		if a.wal() != nil {
 			sc.tr.Enter(obs.PhaseWALAppend)
-			rec, encErr := encodeInsert(name, sc.keys)
+			rec, encErr := encodeInsert(sc.rec, name, sc.keys)
+			sc.rec = rec.Data
 			if !a.logWAL(w, rec, encErr, &sc.tr) {
 				f.endApply()
 				return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ import (
 
 // Durable snapshots. On-disk layout under the store's root directory:
 //
-//	<root>/<escaped filter name>/snap-<seq>/shard-NNNN.bin   one MarshalBinary blob per shard
+//	<root>/<escaped filter name>/snap-<seq>/shard-NNNN.bin   one MarshalBinary blob per shard, streamed
 //	<root>/<escaped filter name>/snap-<seq>/manifest.json    written last; its presence commits the snapshot
 //
 // A snapshot is written shard blobs first (each fsynced), manifest last via
@@ -264,6 +265,11 @@ type Store struct {
 	// and before the manifest commits. Tests inject failures here to
 	// simulate a crash mid-snapshot.
 	afterShardWrite func(shard int) error
+
+	// duringShardStream, when non-nil, runs once per streamed shard blob,
+	// with its file open and the shard's lock released, just before the
+	// stream starts. Tests hold a stream here.
+	duringShardStream func(shard int)
 }
 
 // nameLock returns the write lock for one filter's directory.
@@ -390,13 +396,13 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync creates path, writes it through write and fsyncs it.
+func writeFileSync(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -405,6 +411,22 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// verify checks a whole shard blob against its manifest entry's size and
+// CRC-32C.
+func (ent ShardEntry) verify(blob []byte) error {
+	if int64(len(blob)) != ent.Bytes {
+		return fmt.Errorf("%d bytes, manifest says %d", len(blob), ent.Bytes)
+	}
+	return ent.verifyCRC(crc32.Checksum(blob, castagnoli))
+}
+
+func (ent ShardEntry) verifyCRC(crc uint32) error {
+	if crc != ent.CRC32C {
+		return fmt.Errorf("CRC mismatch %08x != %08x", crc, ent.CRC32C)
+	}
+	return nil
 }
 
 // Snapshot writes a new durable snapshot of f and prunes old ones. On
@@ -515,21 +537,35 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 			}
 			reused++
 		} else {
-			blob, mut, err := tab.captureShard(i)
+			// Drain the shard's inserts, then stream it without its lock,
+			// so inserts to it go on while the file is written. The blob
+			// holds every insert that completed before the drain, hence
+			// every record below man.WALPos (apply-before-append, read
+			// above), and perhaps parts of inserts that race the stream:
+			// bits only go from 0 to 1, so those are never undone, and each
+			// such insert bumped mut after the drain read it, so the next
+			// pass captures this shard again instead of reusing this blob.
+			mut := tab.drainShard(i)
+			crc := crc32.New(castagnoli)
+			var n int64
+			err := writeFileSync(path, func(w io.Writer) error {
+				if st.duringShardStream != nil {
+					st.duringShardStream(i)
+				}
+				var err error
+				n, err = writeShard(io.MultiWriter(w, crc), ss.f)
+				return err
+			})
 			if err != nil {
 				return Manifest{}, fmt.Errorf("server: snapshot %q shard %d: %w", name, i, err)
 			}
-			if err := writeFileSync(path, blob); err != nil {
-				return Manifest{}, fmt.Errorf("server: snapshot %q shard %d: %w", name, i, err)
-			}
-			// The key count is read after the marshal, so like InsertedKeys
-			// it never undercounts the blob's contents (counters bump under
-			// the shard lock the marshal just held); racing inserts may
-			// overcount.
+			// The key count is read after the stream, so like InsertedKeys
+			// it never undercounts the inserts the drain waited for;
+			// racing inserts may overcount.
 			man.Shards[i] = ShardEntry{
 				File:   file,
-				Bytes:  int64(len(blob)),
-				CRC32C: crc32.Checksum(blob, castagnoli),
+				Bytes:  n,
+				CRC32C: crc.Sum32(),
 				Keys:   ss.keys.Load(),
 				Mut:    mut,
 			}
@@ -540,10 +576,9 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 			}
 		}
 	}
-	// Read after the last shard blob: every key in any blob was counted
-	// under its shard lock before that shard's marshal acquired the write
-	// side, so the count never undercounts the blobs' contents. It may
-	// overcount keys that raced in after their shard was marshaled; the
+	// Read after the last shard blob: every insert a drain waited for was
+	// counted under its shard lock, so the count never undercounts them.
+	// It may overcount keys that raced in after their shard's drain; the
 	// count is stats-only either way.
 	man.InsertedKeys = f.keys.Load()
 	body, err := json.MarshalIndent(&man, "", "  ")
@@ -551,7 +586,10 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 		return Manifest{}, fmt.Errorf("server: snapshot %q manifest: %w", name, err)
 	}
 	tmp := filepath.Join(snapDir, manifestName+".tmp")
-	if err := writeFileSync(tmp, body); err != nil {
+	if err := writeFileSync(tmp, func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	}); err != nil {
 		return Manifest{}, fmt.Errorf("server: snapshot %q manifest: %w", name, err)
 	}
 	if ferr := faults.Do("snapshot.manifest.rename"); ferr != nil {
@@ -576,17 +614,21 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 // linkOrCopy makes dst another name for src's contents, preferring a hard
 // link — snapshot blobs are immutable once written, so sharing the inode
 // is safe and free, and pruning the old snapshot directory leaves the
-// inode alive — and falling back to a read + fsynced write when the
+// inode alive — and falling back to a streamed, fsynced copy when the
 // filesystem refuses links.
 func linkOrCopy(src, dst string) error {
 	if err := os.Link(src, dst); err == nil {
 		return nil
 	}
-	data, err := os.ReadFile(src)
+	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	return writeFileSync(dst, data)
+	defer in.Close()
+	return writeFileSync(dst, func(w io.Writer) error {
+		_, err := io.Copy(w, in)
+		return err
+	})
 }
 
 // prune removes snapshot directories other than the newest keep complete
@@ -648,17 +690,30 @@ func (st *Store) loadManifest(name string, seq uint64) *Manifest {
 	return &man
 }
 
-// readShardBlobs reads the shard blobs one snapshot's manifest lists. An
-// entry whose file is not a bare name would reach outside the snapshot
+// shardPath returns the file of shard entry ent of the snapshot in snapDir.
+// An entry whose file is not a bare name would reach outside the snapshot
 // directory and is refused.
+func shardPath(snapDir string, i int, ent ShardEntry) (string, error) {
+	if ent.File != filepath.Base(ent.File) {
+		return "", fmt.Errorf("shard %d: path %q escapes snapshot directory", i, ent.File)
+	}
+	return filepath.Join(snapDir, ent.File), nil
+}
+
+// readShardBlobs reads the shard blobs one snapshot's manifest lists, whole,
+// and checks each against its entry's size and CRC-32C.
 func (st *Store) readShardBlobs(name string, man *Manifest) ([][]byte, error) {
 	snapDir := filepath.Join(st.filterDir(name), snapDirName(man.Seq))
 	blobs := make([][]byte, len(man.Shards))
 	for i, ent := range man.Shards {
-		if ent.File != filepath.Base(ent.File) {
-			return nil, fmt.Errorf("shard %d: path %q escapes snapshot directory", i, ent.File)
+		path, err := shardPath(snapDir, i, ent)
+		if err != nil {
+			return nil, err
 		}
-		blob, err := os.ReadFile(filepath.Join(snapDir, ent.File))
+		blob, err := os.ReadFile(path)
+		if err == nil {
+			err = ent.verify(blob)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -667,39 +722,28 @@ func (st *Store) readShardBlobs(name string, man *Manifest) ([][]byte, error) {
 	return blobs, nil
 }
 
-// verifyShardBlobs checks shard blobs, wherever they came from, against the
-// manifest's shard count and each entry's recorded size and CRC-32C.
-func verifyShardBlobs(man *Manifest, blobs [][]byte) error {
-	if len(blobs) != len(man.Shards) {
-		return fmt.Errorf("%d blobs for %d manifest shards", len(blobs), len(man.Shards))
+// readShard restores shard i of man from r, which yields the shard's blob:
+// its snapshot file (Restore) or a replication bootstrap frame (Follower).
+// It checks as it reads — the size the manifest records and the blob's own
+// checksum (readShardFilter), and the manifest's CRC-32C — and a bloomRF
+// shard's words go straight into its word array, so the blob is never held
+// whole.
+func readShard(man *Manifest, i int, r io.Reader) (shardFilter, error) {
+	ent := man.Shards[i]
+	crc := crc32.New(castagnoli)
+	f, err := readShardFilter(man.Options.Backend, io.TeeReader(r, crc), ent.Bytes)
+	if err == nil {
+		err = ent.verifyCRC(crc.Sum32())
 	}
-	for i, ent := range man.Shards {
-		if int64(len(blobs[i])) != ent.Bytes {
-			return fmt.Errorf("shard %d: %d bytes, manifest says %d", i, len(blobs[i]), ent.Bytes)
-		}
-		if crc := crc32.Checksum(blobs[i], castagnoli); crc != ent.CRC32C {
-			return fmt.Errorf("shard %d: CRC mismatch %08x != %08x", i, crc, ent.CRC32C)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	return nil
+	return f, nil
 }
 
-// restoreFromBlobs rebuilds a filter from a manifest plus its shard blobs,
-// wherever they came from — snapshot files (Restore) or a replication
-// bootstrap stream (Follower). Every blob is verified against the
-// manifest's size and CRC before being trusted.
-func restoreFromBlobs(man *Manifest, blobs [][]byte) (*ShardedFilter, error) {
-	if err := verifyShardBlobs(man, blobs); err != nil {
-		return nil, err
-	}
-	shards := make([]shardFilter, len(man.Shards))
-	for i, blob := range blobs {
-		f, err := unmarshalShardFilter(man.Options.Backend, blob)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		shards[i] = f
-	}
+// restoredFilter assembles the shards readShard restored into the filter
+// man describes.
+func restoredFilter(man *Manifest, shards []shardFilter) (*ShardedFilter, error) {
 	shardKeys := make([]uint64, len(man.Shards))
 	for i, ent := range man.Shards {
 		shardKeys[i] = ent.Keys
@@ -710,6 +754,29 @@ func restoreFromBlobs(man *Manifest, blobs [][]byte) (*ShardedFilter, error) {
 	}
 	f.setSnapshotInfo(SnapshotInfo{Seq: man.Seq, UnixNano: man.CreatedUnix, Bytes: man.totalBytes(), WALPos: man.WALPos})
 	return f, nil
+}
+
+// restoreSnap rebuilds a filter from one snapshot's shard files, each read
+// through readShard.
+func (st *Store) restoreSnap(name string, man *Manifest) (*ShardedFilter, error) {
+	snapDir := filepath.Join(st.filterDir(name), snapDirName(man.Seq))
+	shards := make([]shardFilter, len(man.Shards))
+	for i, ent := range man.Shards {
+		path, err := shardPath(snapDir, i, ent)
+		if err != nil {
+			return nil, err
+		}
+		file, err := os.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		shards[i], err = readShard(man, i, file)
+		file.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return restoredFilter(man, shards)
 }
 
 // ReadSnapshot returns the newest intact snapshot of name as its manifest
@@ -731,11 +798,7 @@ func (st *Store) ReadSnapshot(name string) (Manifest, [][]byte, error) {
 		if man == nil {
 			continue
 		}
-		blobs, err := st.readShardBlobs(name, man)
-		if err == nil {
-			err = verifyShardBlobs(man, blobs)
-		}
-		if err == nil {
+		if blobs, err := st.readShardBlobs(name, man); err == nil {
 			return *man, blobs, nil
 		}
 	}
@@ -757,11 +820,7 @@ func (st *Store) Restore(name string) (*ShardedFilter, Manifest, error) {
 		if man == nil {
 			continue // incomplete or foreign directory
 		}
-		blobs, err := st.readShardBlobs(name, man)
-		var f *ShardedFilter
-		if err == nil {
-			f, err = restoreFromBlobs(man, blobs)
-		}
+		f, err := st.restoreSnap(name, man)
 		if err != nil {
 			lastErr = fmt.Errorf("server: restore %q snap %d: %w", name, seq, err)
 			continue

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -652,10 +653,12 @@ func (fo *Follower) Run(ctx context.Context) {
 	}
 }
 
-// pendingRestore accumulates one filter's bootstrap frames.
+// pendingRestore accumulates one filter's bootstrap frames: each shard
+// frame is restored as it arrives (readShard over the frame's payload), so
+// the follower never holds a copy of the blobs.
 type pendingRestore struct {
-	man   Manifest
-	blobs [][]byte
+	man    Manifest
+	shards []shardFilter
 }
 
 // stream opens one connection and applies frames until it breaks.
@@ -725,14 +728,14 @@ func (fo *Follower) stream(ctx context.Context) error {
 				return errors.New("shard frame before any manifest")
 			}
 			i := int(pos)
-			if i != len(cur.blobs) || i >= len(cur.man.Shards) {
-				return fmt.Errorf("shard frame %d out of order (have %d of %d)", i, len(cur.blobs), len(cur.man.Shards))
+			if i != len(cur.shards) || i >= len(cur.man.Shards) {
+				return fmt.Errorf("shard frame %d out of order (have %d of %d)", i, len(cur.shards), len(cur.man.Shards))
 			}
-			ent := cur.man.Shards[i]
-			if int64(len(payload)) != ent.Bytes || crc32.Checksum(payload, castagnoli) != ent.CRC32C {
-				return fmt.Errorf("shard %d of %q fails its manifest checksum", i, cur.man.Name)
+			sf, err := readShard(&cur.man, i, bytes.NewReader(payload))
+			if err != nil {
+				return fmt.Errorf("bootstrap of %q: %w", cur.man.Name, err)
 			}
-			cur.blobs = append(cur.blobs, append([]byte(nil), payload...))
+			cur.shards = append(cur.shards, sf)
 		case frameBootstrapDone:
 			if err := fo.finishBootstrap(pending, order, pos); err != nil {
 				return err
@@ -805,10 +808,10 @@ func (fo *Follower) finishBootstrap(pending map[string]*pendingRestore, order []
 	restored := make(map[string]*ShardedFilter, len(pending))
 	pos := make(map[string]uint64, len(pending))
 	for name, p := range pending {
-		if len(p.blobs) != len(p.man.Shards) {
-			return fmt.Errorf("bootstrap of %q ended with %d of %d shards", name, len(p.blobs), len(p.man.Shards))
+		if len(p.shards) != len(p.man.Shards) {
+			return fmt.Errorf("bootstrap of %q ended with %d of %d shards", name, len(p.shards), len(p.man.Shards))
 		}
-		f, err := restoreFromBlobs(&p.man, p.blobs)
+		f, err := restoredFilter(&p.man, p.shards)
 		if err != nil {
 			return fmt.Errorf("bootstrap of %q: %w", name, err)
 		}

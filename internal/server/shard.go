@@ -506,6 +506,19 @@ func (tab *shardTable) captureShard(i int) ([]byte, uint64, error) {
 	return blob, ss.mut.Load(), err
 }
 
+// drainShard waits out the inserts running on shard i — it takes and drops
+// the shard's write lock — and returns the shard's mutation epoch read
+// under it. Every insert that began before the call has then completed;
+// every one that begins after it bumps the epoch before its bits move
+// (insertShard). A snapshot streams the shard after the call, without the
+// lock (Store.SnapshotGuarded).
+func (tab *shardTable) drainShard(i int) uint64 {
+	ss := tab.shards[i]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.mut.Load()
+}
+
 // setSnapshotInfo records the filter's latest durable snapshot for stats
 // and /metrics. The persistence layer calls it after a successful commit.
 func (s *ShardedFilter) setSnapshotInfo(info SnapshotInfo) { s.snap.Store(&info) }

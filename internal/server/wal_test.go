@@ -143,7 +143,7 @@ func TestRecoverWALOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := fillRandom(f, 2_000, 17)
-	rec, err = encodeInsert("ephemeral", keys)
+	rec, err = encodeInsert(nil, "ephemeral", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestReplayDeleteAndRecreate(t *testing.T) {
 	}
 	rec, err := encodeCreate("a", f.Options())
 	appendRec(rec, err)
-	rec, err = encodeInsert("a", []uint64{10, 20, 30})
+	rec, err = encodeInsert(nil, "a", []uint64{10, 20, 30})
 	appendRec(rec, err)
 	appendRec(wal.Record{Type: recDelete, Data: []byte("a")}, nil)
 	rec, err = encodeCreate("a", f.Options())

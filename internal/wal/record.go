@@ -95,24 +95,3 @@ func parseRecord(b []byte) (Record, int, error) {
 	}
 	return Record{Type: b[8], Data: b[9 : 9+n]}, headerSize + n, nil
 }
-
-// scanSegment walks the raw bytes of one segment, calling fn (which may be
-// nil) with each valid record and its offset within the segment. It
-// returns the offset of the first byte it could not parse — len(b) when
-// the segment is clean — and any error from fn, which stops the walk.
-func scanSegment(b []byte, fn func(off int, rec Record) error) (validEnd int, err error) {
-	off := 0
-	for off < len(b) {
-		rec, n, perr := parseRecord(b[off:])
-		if perr != nil {
-			return off, nil
-		}
-		if fn != nil {
-			if err := fn(off, rec); err != nil {
-				return off, err
-			}
-		}
-		off += n
-	}
-	return off, nil
-}

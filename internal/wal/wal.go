@@ -28,6 +28,7 @@
 package wal
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -257,18 +258,15 @@ func (l *Log) scan() error {
 		}
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	var sc segScanner
 	for i, base := range bases {
 		path := filepath.Join(l.opt.Dir, segName(base))
-		body, err := os.ReadFile(path)
+		validEnd, size, err := sc.validPrefix(path)
 		if err != nil {
 			return fmt.Errorf("wal: reading segment %s: %w", segName(base), err)
 		}
-		validEnd, err := scanSegment(body, nil)
-		if err != nil {
-			return err
-		}
 		last := i == len(bases)-1
-		if validEnd != len(body) {
+		if validEnd != size {
 			if !last {
 				return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, segName(base), validEnd)
 			}
@@ -281,7 +279,7 @@ func (l *Log) scan() error {
 			return fmt.Errorf("%w: gap between segments %s and %s",
 				ErrCorrupt, segName(l.segs[i-1].base), segName(base))
 		}
-		l.segs = append(l.segs, segMeta{base: base, size: int64(validEnd), sealed: !last})
+		l.segs = append(l.segs, segMeta{base: base, size: validEnd, sealed: !last})
 	}
 	if len(l.segs) == 0 {
 		l.segs = []segMeta{{base: 0}}
@@ -310,6 +308,61 @@ func (l *Log) scan() error {
 	l.durable.Store(end) // everything that survived the scan is on disk
 	l.oldest.Store(l.segs[0].base)
 	return nil
+}
+
+// segScanner validates segments at Open record by record, through one
+// read buffer and one record buffer that grows to the largest record, both
+// reused across segments: Open never holds a segment whole.
+type segScanner struct {
+	rd  *bufio.Reader
+	rec []byte
+}
+
+// validPrefix returns the size of the segment file at path and the length
+// of its valid prefix: the offset of the first record that is cut short,
+// longer than MaxRecordBytes or fails its CRC, or the size when every
+// record is clean.
+func (sc *segScanner) validPrefix(path string) (validEnd, size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size = st.Size()
+	if sc.rd == nil {
+		sc.rd = bufio.NewReaderSize(f, 64<<10)
+	} else {
+		sc.rd.Reset(f)
+	}
+	for validEnd < size {
+		hdr, err := sc.rd.Peek(headerSize)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				break // a header cut short
+			}
+			return 0, 0, err
+		}
+		n := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+		if n > MaxRecordBytes || headerSize+n > size-validEnd {
+			break
+		}
+		if int64(cap(sc.rec)) < headerSize+n {
+			sc.rec = make([]byte, headerSize+n)
+		}
+		b := sc.rec[:headerSize+n]
+		if _, err := io.ReadFull(sc.rd, b); err != nil {
+			return 0, 0, err
+		}
+		if _, _, err := parseRecord(b); err != nil {
+			break
+		}
+		validEnd += int64(len(b))
+	}
+	return validEnd, size, nil
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.
@@ -417,13 +470,23 @@ const (
 	groupBytes = 4 << 20
 )
 
+// The writer encodes each group commit into one buffer, which it keeps for
+// the next commit: commitBufBytes to start with, and whatever a commit grew
+// it to, up to keepCommitBufBytes. A larger one (a batch of many big
+// records) is dropped after its commit, so one burst does not pin its size
+// for the life of the log.
+const (
+	commitBufBytes     = 64 << 10
+	keepCommitBufBytes = 1 << 20
+)
+
 // writeLoop is the single writer goroutine: it drains queued appends into
 // batches, writes each batch with one write call, fsyncs per policy and
 // acknowledges the batch's appends.
 func (l *Log) writeLoop() {
 	defer close(l.written)
 	batch := make([]*appendReq, 0, groupLimit)
-	buf := make([]byte, 0, 64<<10)
+	buf := make([]byte, 0, commitBufBytes)
 	for first := range l.appendCh {
 		batch = append(batch[:0], first)
 		size := first.rec.EncodedLen()
@@ -440,7 +503,9 @@ func (l *Log) writeLoop() {
 				break drain
 			}
 		}
-		l.commit(batch, buf[:0])
+		if buf = l.commit(batch, buf[:0]); cap(buf) > keepCommitBufBytes {
+			buf = make([]byte, 0, commitBufBytes)
+		}
 	}
 	// Close drained the channel; flush state and close the file.
 	l.mu.Lock()
@@ -453,16 +518,17 @@ func (l *Log) writeLoop() {
 	l.mu.Unlock()
 }
 
-// commit writes one batch: rotate if due, encode, write, fsync per policy,
-// assign positions, wake tailing readers and acknowledge the appends.
-func (l *Log) commit(batch []*appendReq, buf []byte) {
+// commit writes one batch: rotate if due, encode into buf, write, fsync per
+// policy, assign positions, wake tailing readers and acknowledge the
+// appends. It returns buf as the encoding grew it, for the next commit.
+func (l *Log) commit(batch []*appendReq, buf []byte) []byte {
 	l.mu.Lock()
 	tail := &l.segs[len(l.segs)-1]
 	if tail.size >= l.opt.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
 			l.fail(batch, err)
-			return
+			return buf
 		}
 		tail = &l.segs[len(l.segs)-1]
 	}
@@ -480,13 +546,13 @@ func (l *Log) commit(batch []*appendReq, buf []byte) {
 	if ferr := faults.Do("wal.append"); ferr != nil {
 		l.mu.Unlock()
 		l.fail(batch, fmt.Errorf("wal: append: %w", ferr))
-		return
+		return buf
 	}
 	if ferr := faults.Do("wal.append.torn"); ferr != nil {
 		_, _ = l.active.WriteAt(buf[:len(buf)/2], tail.size)
 		l.mu.Unlock()
 		l.fail(batch, fmt.Errorf("wal: append: %w", ferr))
-		return
+		return buf
 	}
 	// WriteAt at the tracked valid size, not sequential Write: a failed
 	// partial write leaves garbage past tail.size, and the next commit
@@ -495,7 +561,7 @@ func (l *Log) commit(batch []*appendReq, buf []byte) {
 	if _, err := l.active.WriteAt(buf, tail.size); err != nil {
 		l.mu.Unlock()
 		l.fail(batch, fmt.Errorf("wal: append: %w", err))
-		return
+		return buf
 	}
 	if l.opt.Policy == SyncAlways {
 		t0 := time.Now()
@@ -508,7 +574,7 @@ func (l *Log) commit(batch []*appendReq, buf []byte) {
 		if err != nil {
 			l.mu.Unlock()
 			l.fail(batch, fmt.Errorf("wal: fsync: %w", err))
-			return
+			return buf
 		}
 		for _, req := range batch {
 			req.fsyncNs = d.Nanoseconds()
@@ -526,6 +592,7 @@ func (l *Log) commit(batch []*appendReq, buf []byte) {
 	for _, req := range batch {
 		close(req.done)
 	}
+	return buf
 }
 
 // fail acknowledges a batch with an error without advancing the log.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -585,5 +586,65 @@ func TestBatchBucketLayout(t *testing.T) {
 	}
 	if got := BatchBucketLE(BatchBuckets - 1); got != -1 {
 		t.Errorf("overflow bucket LE = %d, want -1 (+Inf)", got)
+	}
+}
+
+// heapAllocated returns the bytes the Go heap allocated while fn ran, on
+// any goroutine (the log's writer included).
+func heapAllocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOpenStreamsSegments pins that Open validates a segment record by
+// record instead of reading it whole: opening a log whose segment holds
+// 16 MiB and more allocates a small fraction of that.
+func TestOpenStreamsSegments(t *testing.T) {
+	dir := t.TempDir()
+	big := func(o *Options) { o.SegmentBytes = 64 << 20; o.Policy = SyncNone }
+	l := openT(t, dir, big)
+	rec := Record{Type: 2, Data: bytes.Repeat([]byte{0xa5}, 64<<10)}
+	for l.End() < 16<<20 {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := l.End()
+	l.Close()
+	var l2 *Log
+	got := heapAllocated(func() { l2 = openT(t, dir, big) })
+	defer l2.Close()
+	if l2.End() != end {
+		t.Fatalf("reopened log ends at %d, want %d", l2.End(), end)
+	}
+	if got > 1<<20 {
+		t.Fatalf("Open of a %d-byte segment allocated %d bytes, want under 1 MiB", end, got)
+	}
+}
+
+// TestCommitKeepsBuffer pins that the writer keeps the buffer a group
+// commit grew: once warm, appending a record larger than the initial
+// buffer allocates far less than the record's size.
+func TestCommitKeepsBuffer(t *testing.T) {
+	l := openT(t, t.TempDir(), func(o *Options) { o.SegmentBytes = 64 << 20; o.Policy = SyncNone })
+	defer l.Close()
+	rec := Record{Type: 2, Data: bytes.Repeat([]byte{0x5a}, 4*commitBufBytes)}
+	appendOnce := func() {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOnce() // grows the buffer
+	const n = 20
+	got := heapAllocated(func() {
+		for i := 0; i < n; i++ {
+			appendOnce()
+		}
+	}) / n
+	if got > 4<<10 {
+		t.Fatalf("a warm append of a %d-byte record allocated %d bytes, want under 4 KiB", len(rec.Data), got)
 	}
 }
