@@ -9,7 +9,10 @@
 //	bloomrf-bench -exp all -scale small -csv
 //
 // Experiments: fig1, fig5, fig8, fig9, fig9d, fig10, fig11, fig12a,
-// fig12b, fig12c, fig12d, fig12s, fig12e, fig12f, fig12g, sect6, all.
+// fig12b, fig12c, fig12d, fig12s, fig12e, fig12f, fig12g, sect6, ycsb, all.
+// ycsb replays YCSB mixes A, C and E and the paper's range mix over the
+// LSM store once per served backend (bloomRF, Bloom, Rosetta, SuRF) and
+// prints data blocks read, empty-query FPR and IO saved vs Bloom.
 package main
 
 import (
@@ -54,7 +57,7 @@ func main() {
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {
 		names = []string{"fig8", "sect6", "fig5", "fig1", "fig11", "fig9", "fig9d",
-			"fig10", "fig12a", "fig12b", "fig12c", "fig12d", "fig12s", "fig12e", "fig12f", "fig12g"}
+			"fig10", "fig12a", "fig12b", "fig12c", "fig12d", "fig12s", "fig12e", "fig12f", "fig12g", "ycsb"}
 	}
 	allDists := []workload.Distribution{workload.Uniform, workload.Normal, workload.Zipfian}
 	for _, name := range names {
@@ -94,6 +97,8 @@ func main() {
 			tables = harness.Fig12F(scale)
 		case "fig12g":
 			tables, err = harness.Fig12G(scale, filepath.Join(scratch, "fig12g"))
+		case "ycsb":
+			tables, err = harness.YCSB(scale, filepath.Join(scratch, "ycsb"))
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}

@@ -1,37 +1,29 @@
 // Package faults is a dependency-free failpoint registry for fault-injection
 // testing. Production code threads named hooks through its critical sections
-// (`faults.Do("wal.fsync")`); tests arm them with deterministic behaviors —
-// return an error N times, delay, or run an arbitrary hook — and the hammer
-// drives the system through the failure. When nothing is armed the cost of a
-// hook is one atomic load, so the hooks stay compiled into release builds.
+// (`faults.Do("wal.append")`); tests arm them to return an error N times,
+// and the hammer drives the system through the failure. When nothing is
+// armed the cost of a hook is one atomic load, so the hooks stay compiled
+// into release builds.
 //
 // The registry is global: failpoints are addressed by name, not by instance,
-// which keeps the arming side (tests, scripts) decoupled from the code under
-// test. Tests that arm failpoints must Reset (or Disarm) on cleanup and must
-// not run in parallel with other fault-armed tests against shared names.
+// which keeps the arming side decoupled from the code under test. Tests that
+// arm failpoints must Reset on cleanup and must not run in parallel with
+// other fault-armed tests against shared names.
 package faults
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Action describes what an armed failpoint does when hit.
 type Action struct {
-	// Err is returned from Do. A nil Err with a nonzero Delay models a
-	// stall that eventually succeeds.
+	// Err is returned from Do.
 	Err error
-	// Delay is slept before returning (a slow disk, a laggy network).
-	Delay time.Duration
 	// Remaining caps how many hits trigger the action; each hit counts it
 	// down and the failpoint disarms itself at zero. Zero or negative
 	// means unlimited.
 	Remaining int64
-	// Hook, if set, runs on each hit after the delay; a non-nil return
-	// overrides Err. Use it for side effects (partial writes, panics in
-	// crash tests) that a static error cannot express.
-	Hook func() error
 }
 
 var (
@@ -54,16 +46,6 @@ func Arm(name string, a Action) {
 	points[name] = &cp
 }
 
-// Disarm removes a failpoint. Disarming an unarmed name is a no-op.
-func Disarm(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every failpoint. Tests call it in cleanup.
 func Reset() {
 	mu.Lock()
@@ -81,12 +63,11 @@ func Do(name string) error {
 		return nil
 	}
 	mu.Lock()
+	defer mu.Unlock()
 	p, ok := points[name]
 	if !ok {
-		mu.Unlock()
 		return nil
 	}
-	act := *p // copy so the hit runs outside the lock
 	if p.Remaining > 0 {
 		p.Remaining--
 		if p.Remaining == 0 {
@@ -94,15 +75,5 @@ func Do(name string) error {
 			armed.Add(-1)
 		}
 	}
-	mu.Unlock()
-
-	if act.Delay > 0 {
-		time.Sleep(act.Delay)
-	}
-	if act.Hook != nil {
-		if err := act.Hook(); err != nil {
-			return err
-		}
-	}
-	return act.Err
+	return p.Err
 }

@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestDisarmedIsNil(t *testing.T) {
@@ -39,43 +38,9 @@ func TestUnlimitedAndDisarm(t *testing.T) {
 			t.Fatalf("unlimited failpoint stopped firing at hit %d: %v", i, err)
 		}
 	}
-	Disarm("y")
+	Reset()
 	if err := Do("y"); err != nil {
 		t.Fatalf("disarmed failpoint fired: %v", err)
-	}
-}
-
-func TestHookOverridesErr(t *testing.T) {
-	t.Cleanup(Reset)
-	hookErr := errors.New("from hook")
-	var hits int
-	Arm("z", Action{Err: errors.New("static"), Hook: func() error {
-		hits++
-		return hookErr
-	}})
-	if err := Do("z"); !errors.Is(err, hookErr) {
-		t.Fatalf("got %v, want hook error", err)
-	}
-	if hits != 1 {
-		t.Fatalf("hook ran %d times, want 1", hits)
-	}
-	// A hook returning nil falls back to the static error.
-	static := errors.New("static")
-	Arm("z", Action{Err: static, Hook: func() error { return nil }})
-	if err := Do("z"); !errors.Is(err, static) {
-		t.Fatalf("got %v, want static error", err)
-	}
-}
-
-func TestDelay(t *testing.T) {
-	t.Cleanup(Reset)
-	Arm("slow", Action{Delay: 30 * time.Millisecond})
-	t0 := time.Now()
-	if err := Do("slow"); err != nil {
-		t.Fatalf("delay-only failpoint returned %v", err)
-	}
-	if d := time.Since(t0); d < 25*time.Millisecond {
-		t.Fatalf("delay not applied: %v", d)
 	}
 }
 

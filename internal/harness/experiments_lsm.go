@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/lsm"
@@ -17,7 +19,7 @@ import (
 // filter's false positives translate into end-to-end latency shape.
 const simulatedReadLatency = 100 * time.Microsecond
 
-// lsmEnv is a built LSM store with a sorted copy of its keys.
+// lsmEnv is a built LSM store with a sorted shadow of its keys.
 type lsmEnv struct {
 	db   *lsm.DB
 	keys []uint64
@@ -65,49 +67,129 @@ func (e *lsmEnv) close() {
 	os.RemoveAll(e.dir)
 }
 
-// lsmRangeRun issues empty range scans and reports the DB-level FPR (the
-// fraction of empty queries that triggered any block read) and the total
-// execution time (wall + simulated I/O wait).
-func (e *lsmEnv) lsmRangeRun(queries []workload.RangeQuery) (fpr float64, execTime time.Duration, err error) {
-	stats := e.db.Stats()
-	fp := 0
-	startIO := stats.Snapshot().IOWaitTime
-	start := time.Now()
-	for _, q := range queries {
-		before := stats.BlockReads.Load()
-		if _, err := e.db.Scan(q.Lo, q.Hi); err != nil {
-			return 0, 0, err
-		}
-		if stats.BlockReads.Load() > before {
-			fp++
-		}
-	}
-	wall := time.Since(start)
-	ioWait := stats.Snapshot().IOWaitTime - startIO
-	if len(queries) == 0 {
-		return 0, 0, fmt.Errorf("harness: empty query stream")
-	}
-	return float64(fp) / float64(len(queries)), wall + ioWait, nil
+// lsmReplay is what one pass of operations over an LSM store observed.
+type lsmReplay struct {
+	// empty counts the ops whose exact answer is empty: an absent key, or
+	// a scan over a key-free range.
+	empty int
+	// emptyRead counts the empty ops that still read a data block, a
+	// filter false positive seen end to end.
+	emptyRead int
+	// io is the store's IO accounting over the pass.
+	io lsm.Snapshot
+	// exec is wall time plus simulated I/O wait.
+	exec time.Duration
 }
 
-// lsmPointRun issues empty point gets analogously.
-func (e *lsmEnv) lsmPointRun(queries []uint64) (fpr float64, execTime time.Duration, err error) {
+// fpr is the DB-level false-positive rate: the share of empty ops that
+// read a data block.
+func (r lsmReplay) fpr() float64 { return float64(r.emptyRead) / float64(r.empty) }
+
+// replay runs ops against the store one at a time and checks each answer
+// against exact ground truth, a sorted shadow of every key written so far
+// (e.keys, which writes keep current). A read or scan whose answer
+// differs from the shadow's, a false negative or an invented key, is a
+// hard error.
+func (e *lsmEnv) replay(ops []workload.Op) (lsmReplay, error) {
+	var r lsmReplay
+	if len(ops) == 0 {
+		return r, errors.New("harness: empty query stream")
+	}
+	present := e.groundTruth(ops)
 	stats := e.db.Stats()
-	fp := 0
-	startIO := stats.Snapshot().IOWaitTime
+	value := make([]byte, 16)
+	before := stats.Snapshot()
 	start := time.Now()
-	for _, y := range queries {
-		before := stats.BlockReads.Load()
-		if _, _, err := e.db.Get(y); err != nil {
-			return 0, 0, err
+	for i, op := range ops {
+		if op.Kind == workload.OpUpdate || op.Kind == workload.OpInsert {
+			if err := e.db.Put(op.Key, value); err != nil {
+				return r, err
+			}
+			continue
 		}
-		if stats.BlockReads.Load() > before {
-			fp++
+		blocks := stats.BlockReads.Load()
+		var found bool
+		if op.Kind == workload.OpScan {
+			kvs, err := e.db.Scan(op.Lo, op.Hi)
+			if err != nil {
+				return r, err
+			}
+			found = len(kvs) > 0
+		} else {
+			_, ok, err := e.db.Get(op.Key)
+			if err != nil {
+				return r, err
+			}
+			found = ok
+		}
+		if found != present[i] {
+			return r, fmt.Errorf("harness: op %d %+v: store found %v, ground truth %v", i, op, found, present[i])
+		}
+		if !found {
+			r.empty++
+			if stats.BlockReads.Load() > blocks {
+				r.emptyRead++
+			}
+		}
+		if op.Kind == workload.OpReadModifyWrite {
+			if err := e.db.Put(op.Key, value); err != nil {
+				return r, err
+			}
 		}
 	}
 	wall := time.Since(start)
-	ioWait := stats.Snapshot().IOWaitTime - startIO
-	return float64(fp) / float64(len(queries)), wall + ioWait, nil
+	r.io = stats.Snapshot().Sub(before)
+	r.exec = wall + r.io.IOWaitTime
+	return r, nil
+}
+
+// groundTruth returns, per op, whether a stored key answers it, and
+// applies the ops' writes to the shadow e.keys. It runs before the timed
+// loop, so exec time is the store's alone.
+func (e *lsmEnv) groundTruth(ops []workload.Op) []bool {
+	present := make([]bool, len(ops))
+	for i, op := range ops {
+		switch op.Kind {
+		case workload.OpScan:
+			present[i] = e.hasKeyIn(op.Lo, op.Hi)
+		case workload.OpRead:
+			present[i] = e.hasKeyIn(op.Key, op.Key)
+		case workload.OpReadModifyWrite:
+			present[i] = e.hasKeyIn(op.Key, op.Key)
+			e.add(op.Key)
+		default: // OpUpdate, OpInsert
+			e.add(op.Key)
+		}
+	}
+	return present
+}
+
+func (e *lsmEnv) add(k uint64) {
+	if i, ok := slices.BinarySearch(e.keys, k); !ok {
+		e.keys = slices.Insert(e.keys, i, k)
+	}
+}
+
+func (e *lsmEnv) hasKeyIn(lo, hi uint64) bool {
+	i, _ := slices.BinarySearch(e.keys, lo)
+	return i < len(e.keys) && e.keys[i] <= hi
+}
+
+// scans and gets turn generated empty queries into ops for replay.
+func scans(qs []workload.RangeQuery) []workload.Op {
+	ops := make([]workload.Op, len(qs))
+	for i, q := range qs {
+		ops[i] = workload.Op{Kind: workload.OpScan, Lo: q.Lo, Hi: q.Hi}
+	}
+	return ops
+}
+
+func gets(keys []uint64) []workload.Op {
+	ops := make([]workload.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = workload.Op{Kind: workload.OpRead, Key: k}
+	}
+	return ops
 }
 
 // fig9Ranges is the Fig. 9 x-axis (2..10^11).
@@ -175,12 +257,12 @@ func Fig9(s Scale, dir string) ([]*Table, error) {
 					rangeTabs[qd].AddRow(r, name, "n/a", "n/a")
 					continue
 				}
-				fpr, exec, err := env.lsmRangeRun(qs)
+				res, err := env.replay(scans(qs))
 				if err != nil {
 					env.close()
 					return nil, err
 				}
-				rangeTabs[qd].AddRow(r, name, fpr, exec.Seconds())
+				rangeTabs[qd].AddRow(r, name, res.fpr(), res.exec.Seconds())
 			}
 			env.close()
 		}
@@ -200,12 +282,12 @@ func Fig9(s Scale, dir string) ([]*Table, error) {
 		}
 		for _, qd := range dists {
 			qg := workload.NewQueryGen(qd, 1602, env.keys)
-			fpr, _, err := env.lsmPointRun(qg.EmptyPointQueries(s.Queries))
+			res, err := env.replay(gets(qg.EmptyPointQueries(s.Queries)))
 			if err != nil {
 				env.close()
 				return nil, err
 			}
-			pointTabs[qd].AddRow(name, fpr)
+			pointTabs[qd].AddRow(name, res.fpr())
 		}
 		env.close()
 	}
@@ -240,12 +322,12 @@ func Fig9D(s Scale, dir string) ([]*Table, error) {
 				t.AddRow(r, name, "n/a", "n/a")
 				continue
 			}
-			fpr, exec, err := env.lsmRangeRun(qs)
+			res, err := env.replay(scans(qs))
 			if err != nil {
 				env.close()
 				return nil, err
 			}
-			t.AddRow(r, name, fpr, exec.Seconds())
+			t.AddRow(r, name, res.fpr(), res.exec.Seconds())
 		}
 		env.close()
 	}
@@ -287,12 +369,12 @@ func Fig10(s Scale, dir string) ([]*Table, error) {
 						env.close()
 						continue
 					}
-					fpr, exec, err := env.lsmRangeRun(qs)
+					res, err := env.replay(scans(qs))
 					if err != nil {
 						env.close()
 						return nil, err
 					}
-					t.AddRow(bpk, r, name, fpr, exec.Seconds())
+					t.AddRow(bpk, r, name, res.fpr(), res.exec.Seconds())
 					env.close()
 				}
 			}
@@ -319,12 +401,12 @@ func Fig10(s Scale, dir string) ([]*Table, error) {
 				return nil, err
 			}
 			qg := workload.NewQueryGen(workload.Uniform, 1901, env.keys)
-			fpr, _, err := env.lsmPointRun(qg.EmptyPointQueries(s.Queries))
+			res, err := env.replay(gets(qg.EmptyPointQueries(s.Queries)))
 			if err != nil {
 				env.close()
 				return nil, err
 			}
-			pt.AddRow(bpk, name, fpr)
+			pt.AddRow(bpk, name, res.fpr())
 			env.close()
 		}
 	}
@@ -393,29 +475,21 @@ func Fig12G(s Scale, dir string) ([]*Table, error) {
 		}
 		qg := workload.NewQueryGen(workload.Uniform, 2101, env.keys)
 		for _, r := range ranges {
-			before := env.db.Stats().Snapshot()
-			var wall time.Duration
+			var ops []workload.Op
 			if r <= 1 {
-				_, exec, err := env.lsmPointRun(qg.EmptyPointQueries(s.Queries / 2))
-				if err != nil {
-					env.close()
-					return nil, err
-				}
-				wall = exec
+				ops = gets(qg.EmptyPointQueries(s.Queries / 2))
+			} else if qs := qg.EmptyRangeQueries(s.Queries/4, r); len(qs) > 0 {
+				ops = scans(qs)
 			} else {
-				qs := qg.EmptyRangeQueries(s.Queries/4, r)
-				if len(qs) == 0 {
-					t.AddRow(r, name, "n/a", "n/a", "n/a", "n/a", "n/a")
-					continue
-				}
-				_, exec, err := env.lsmRangeRun(qs)
-				if err != nil {
-					env.close()
-					return nil, err
-				}
-				wall = exec
+				t.AddRow(r, name, "n/a", "n/a", "n/a", "n/a", "n/a")
+				continue
 			}
-			d := env.db.Stats().Snapshot().Sub(before)
+			res, err := env.replay(ops)
+			if err != nil {
+				env.close()
+				return nil, err
+			}
+			d, wall := res.io, res.exec
 			probe := d.FilterProbeTime
 			cpu := wall - d.IOWaitTime - probe
 			if cpu < 0 {
@@ -427,4 +501,65 @@ func Fig12G(s Scale, dir string) ([]*Table, error) {
 		env.close()
 	}
 	return []*Table{t}, nil
+}
+
+// ycsbBackends are the served filter backends YCSB compares, in row order.
+var ycsbBackends = []string{"bloomrf", "bloom", "rosetta", "surf"}
+
+// YCSB replays YCSB mixes A, C and E and the paper's range mix (almost
+// every scan empty) over the LSM store, once per served backend at
+// 16 bits/key tuned for the mixes' 2^10 scan span: s.LSMKeys keys over 25
+// tables, s.Queries ops, the same trace for every backend. It prints one
+// table per mix.
+func YCSB(s Scale, dir string) ([]*Table, error) {
+	var tables []*Table
+	for _, mix := range []string{"A", "C", "E", "range"} {
+		t, err := ycsbMix(s, dir, mix)
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
+}
+
+// ycsbMix runs one mix against every backend, each in a freshly built
+// store, so the backends differ only in their filter blocks.
+func ycsbMix(s Scale, dir, mixName string) (*Table, error) {
+	mix, err := workload.MixByName(mixName)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]lsmReplay, len(ycsbBackends))
+	for i, backend := range ycsbBackends {
+		policy, err := policies.ForBackend(backend, 16, 1<<10)
+		if err != nil {
+			return nil, err
+		}
+		env, err := buildLSM(fmt.Sprintf("%s/ycsb-%s-%s", dir, mixName, backend), policy, s.LSMKeys, workload.Uniform, 25)
+		if err != nil {
+			return nil, err
+		}
+		res[i], err = env.replay(mix.Ops(env.keys, s.Queries, 42))
+		env.close()
+		if err != nil {
+			return nil, fmt.Errorf("ycsb mix %s backend %s: %w", mixName, backend, err)
+		}
+	}
+	t := &Table{
+		Title:   fmt.Sprintf("YCSB mix %s — LSM, 16 bits/key, %d keys, %d ops", mixName, s.LSMKeys, s.Queries),
+		Columns: []string{"backend", "data blocks read", "empty-query FPR", "IO saved vs Bloom", "exec(s)"},
+	}
+	bloomBlocks := float64(res[slices.Index(ycsbBackends, "bloom")].io.BlockReads)
+	for i, r := range res {
+		var fpr, saved any = "n/a", "n/a"
+		if r.empty > 0 {
+			fpr = r.fpr()
+		}
+		if bloomBlocks > 0 {
+			saved = fmt.Sprintf("%.1f%%", 100*(1-float64(r.io.BlockReads)/bloomBlocks))
+		}
+		t.AddRow(ycsbBackends[i], r.io.BlockReads, fpr, saved, r.exec.Seconds())
+	}
+	return t, nil
 }

@@ -139,19 +139,6 @@ func TestFig12ESmoke(t *testing.T) {
 	}
 }
 
-func TestFig9Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lsm experiment")
-	}
-	tables, err := Fig9(Scale{LSMKeys: 4_000, Queries: 200}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 6 { // (range + point) × 3 dists
-		t.Fatalf("tables = %d, want 6", len(tables))
-	}
-}
-
 func TestFig12GSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lsm experiment")

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/wal"
 )
 
@@ -591,9 +590,6 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 		return err
 	}); err != nil {
 		return Manifest{}, fmt.Errorf("server: snapshot %q manifest: %w", name, err)
-	}
-	if ferr := faults.Do("snapshot.manifest.rename"); ferr != nil {
-		return Manifest{}, fmt.Errorf("server: snapshot %q manifest: %w", name, ferr)
 	}
 	if err := os.Rename(tmp, filepath.Join(snapDir, manifestName)); err != nil {
 		return Manifest{}, fmt.Errorf("server: snapshot %q manifest: %w", name, err)

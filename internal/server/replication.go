@@ -156,10 +156,6 @@ func (a *API) handleReplicationStream(w http.ResponseWriter, r *http.Request) {
 		denyUnauthorized(w, "the replication stream")
 		return
 	}
-	if err := faults.Do("replication.stream.serve"); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "stream unavailable: %v", err)
-		return
-	}
 	if a.fenced.Load() {
 		a.fencingRejections.Add(1)
 		writeErr(w, http.StatusConflict,

@@ -538,18 +538,9 @@ func (l *Log) commit(batch []*appendReq, buf []byte) []byte {
 		buf = appendRecord(buf, req.rec)
 		pos += uint64(req.rec.EncodedLen())
 	}
-	// Failpoints for fault-injection tests: "wal.append" fails the batch
-	// before any bytes hit the file; "wal.append.torn" writes half the
-	// batch then fails, simulating a crash mid-append (the torn tail is
-	// garbage past tail.size, overwritten by the next successful commit,
-	// exactly as a real partial write would be).
+	// Failpoint for fault-injection tests: "wal.append" fails the batch
+	// before any bytes hit the file.
 	if ferr := faults.Do("wal.append"); ferr != nil {
-		l.mu.Unlock()
-		l.fail(batch, fmt.Errorf("wal: append: %w", ferr))
-		return buf
-	}
-	if ferr := faults.Do("wal.append.torn"); ferr != nil {
-		_, _ = l.active.WriteAt(buf[:len(buf)/2], tail.size)
 		l.mu.Unlock()
 		l.fail(batch, fmt.Errorf("wal: append: %w", ferr))
 		return buf
@@ -565,10 +556,7 @@ func (l *Log) commit(batch []*appendReq, buf []byte) []byte {
 	}
 	if l.opt.Policy == SyncAlways {
 		t0 := time.Now()
-		err := faults.Do("wal.fsync") // injected fsync failure/stall
-		if err == nil {
-			err = l.active.Sync()
-		}
+		err := l.active.Sync()
 		d := time.Since(t0)
 		l.noteFsync(d)
 		if err != nil {
@@ -671,9 +659,6 @@ func (l *Log) Sync() error {
 	defer l.mu.Unlock()
 	if l.closed || l.active == nil {
 		return ErrClosed
-	}
-	if err := faults.Do("wal.fsync"); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	c := l.committed.Load()
 	if err := l.timedSync(); err != nil {
