@@ -10,9 +10,10 @@
 //
 // Experiments: fig1, fig5, fig8, fig9, fig9d, fig10, fig11, fig12a,
 // fig12b, fig12c, fig12d, fig12s, fig12e, fig12f, fig12g, sect6, ycsb, all.
-// ycsb replays YCSB mixes A, C and E and the paper's range mix over the
-// LSM store once per served backend (bloomRF, Bloom, Rosetta, SuRF) and
-// prints data blocks read, empty-query FPR and IO saved vs Bloom.
+// ycsb replays the paper's range mix (a YCSB E derivative whose queries
+// are almost all empty) over the LSM store once per served backend
+// (bloomRF, Bloom, Rosetta, SuRF) and prints data blocks read,
+// empty-query FPR and IO saved vs Bloom.
 package main
 
 import (

@@ -79,10 +79,11 @@ func checkFig9(t *testing.T) {
 }
 
 func checkRangeMix(t *testing.T) {
-	tab, err := ycsbMix(Scale{LSMKeys: 200_000, Queries: 20_000}, t.TempDir(), "range")
+	tabs, err := YCSB(Scale{LSMKeys: 200_000, Queries: 20_000}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := tabs[0]
 	blocks := map[string]float64{}
 	for _, row := range tab.Rows {
 		blocks[row[0]] = cell(t, row[1])

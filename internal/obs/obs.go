@@ -33,11 +33,11 @@ const (
 	// current CAS semaphore it is accept-or-reject, so the interval is
 	// near zero, but a queueing admission policy would surface here.
 	PhaseAdmissionWait
-	// PhaseShardDispatch covers grouping keys/ranges by destination
+	// PhaseShardDispatch covers grouping a key batch by destination
 	// shard (counting sort) before any probing happens.
 	PhaseShardDispatch
 	// PhaseProbe covers filter probe/insert compute across shards,
-	// including goroutine fan-out when the batch is large enough.
+	// including the goroutine fan-out of a large insert batch.
 	PhaseProbe
 	// PhaseWALAppend covers encoding the WAL record and waiting for the
 	// group-commit writer to stage it (queue wait + write), excluding

@@ -72,12 +72,9 @@ type shardStats struct {
 // MarshalBinary must produce a blob unmarshalShardFilter restores under the
 // same backend name.
 type shardFilter interface {
-	Insert(key uint64)
 	InsertBatch(keys []uint64)
-	MayContain(key uint64) bool
 	MayContainBatch(keys []uint64, out []bool)
 	MayContainRange(lo, hi uint64) bool
-	MayContainRangeBatch(ranges [][2]uint64, out []bool)
 	MarshalBinary() ([]byte, error)
 	stats() shardStats
 }
@@ -208,15 +205,11 @@ func (s bloomrfShard) stats() shardStats {
 // the underlying filter, so no adapter lock is needed.
 type bloomShard struct{ f *bloom.Filter }
 
-func (s bloomShard) Insert(key uint64) { s.f.Insert(key) }
-
 func (s bloomShard) InsertBatch(keys []uint64) {
 	for _, k := range keys {
 		s.f.Insert(k)
 	}
 }
-
-func (s bloomShard) MayContain(key uint64) bool { return s.f.MayContain(key) }
 
 func (s bloomShard) MayContainBatch(keys []uint64, out []bool) {
 	for i, k := range keys {
@@ -225,12 +218,6 @@ func (s bloomShard) MayContainBatch(keys []uint64, out []bool) {
 }
 
 func (s bloomShard) MayContainRange(lo, hi uint64) bool { return true }
-
-func (s bloomShard) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
-	for i := range ranges {
-		out[i] = true
-	}
-}
 
 func (s bloomShard) MarshalBinary() ([]byte, error) { return s.f.MarshalBinary() }
 
@@ -254,24 +241,12 @@ type rosettaShard struct {
 	f  *rosetta.Filter
 }
 
-func (s *rosettaShard) Insert(key uint64) {
-	s.mu.Lock()
-	s.f.Insert(key)
-	s.mu.Unlock()
-}
-
 func (s *rosettaShard) InsertBatch(keys []uint64) {
 	s.mu.Lock()
 	for _, k := range keys {
 		s.f.Insert(k)
 	}
 	s.mu.Unlock()
-}
-
-func (s *rosettaShard) MayContain(key uint64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.f.MayContain(key)
 }
 
 func (s *rosettaShard) MayContainBatch(keys []uint64, out []bool) {
@@ -286,14 +261,6 @@ func (s *rosettaShard) MayContainRange(lo, hi uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.f.MayContainRange(lo, hi)
-}
-
-func (s *rosettaShard) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, r := range ranges {
-		out[i] = s.f.MayContainRange(r[0], r[1])
-	}
 }
 
 func (s *rosettaShard) MarshalBinary() ([]byte, error) {
@@ -327,27 +294,15 @@ type surfShard struct {
 	dirty bool         // keys changed since trie was built
 }
 
-func (s *surfShard) Insert(key uint64) {
-	s.mu.Lock()
-	s.insertLocked(key)
-	s.mu.Unlock()
-}
-
 func (s *surfShard) InsertBatch(keys []uint64) {
 	s.mu.Lock()
 	for _, k := range keys {
-		s.insertLocked(k)
+		if i, ok := slices.BinarySearch(s.keys, k); !ok {
+			s.keys = slices.Insert(s.keys, i, k)
+			s.dirty = true
+		}
 	}
 	s.mu.Unlock()
-}
-
-func (s *surfShard) insertLocked(key uint64) {
-	i, ok := slices.BinarySearch(s.keys, key)
-	if ok {
-		return
-	}
-	s.keys = slices.Insert(s.keys, i, key)
-	s.dirty = true
 }
 
 // reader returns the current trie and key count, rebuilding first when the
@@ -390,17 +345,6 @@ func (s *surfShard) rebuildLocked() {
 	s.trie = f
 }
 
-func (s *surfShard) MayContain(key uint64) bool {
-	t, n := s.reader()
-	if n == 0 {
-		return false
-	}
-	if t == nil {
-		return true
-	}
-	return t.MayContainUint64(key)
-}
-
 func (s *surfShard) MayContainBatch(keys []uint64, out []bool) {
 	t, n := s.reader()
 	for i, k := range keys {
@@ -424,20 +368,6 @@ func (s *surfShard) MayContainRange(lo, hi uint64) bool {
 		return true
 	}
 	return t.MayContainRangeUint64(lo, hi)
-}
-
-func (s *surfShard) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
-	t, n := s.reader()
-	for i, r := range ranges {
-		switch {
-		case n == 0:
-			out[i] = false
-		case t == nil:
-			out[i] = true
-		default:
-			out[i] = t.MayContainRangeUint64(r[0], r[1])
-		}
-	}
 }
 
 // surfShard blob layout (all little-endian): magic u64 | version u32 |

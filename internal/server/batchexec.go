@@ -3,7 +3,6 @@ package server
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -29,27 +28,24 @@ import (
 // validate under the shard lock (insertShard) and re-route sub-batches the
 // swap invalidated through a fresh InsertBatch call.
 //
-// Fan-out policy: a batch below fanOutMinKeys/fanOutMinRanges runs entirely
-// on the caller's goroutine, as before. Above it, only shards whose
-// sub-batch clears spawnThreshold get their own goroutine; straggler
-// sub-batches run inline on the caller's goroutine while the spawned
-// shards work — a 16-key straggler sub-batch costs a function call, not a
-// goroutine hop, and a uniformly-spread batch keeps one goroutine per
-// shard exactly as before. Hash-routed range batches never fan out: every
-// shard sees every range, and hashRanges probes them all from one plan per
-// range on the caller's goroutine.
+// Goroutines: only insert batches fan out. An insert batch below
+// fanOutMinKeys runs entirely on the caller's goroutine. Above it, only
+// shards whose sub-batch clears spawnThreshold get their own goroutine;
+// straggler sub-batches run inline on the caller's goroutine while the
+// spawned shards work — a 16-key straggler sub-batch costs a function call,
+// not a goroutine hop. Every query batch runs on the caller's goroutine:
+// point batches shard by shard, hash-routed ranges through hashRanges (one
+// plan per range across all shards), range-routed ranges one by one through
+// rangeOne (usually one shard each). Under the closed loop other requests
+// keep the CPUs busy, so a second goroutine per query buys nothing there.
 
-// Per-shard inline caps: in fan-out mode, a sub-batch below the spawn
-// threshold is executed on the caller's goroutine instead of its own.
-// Goroutine spawn + schedule + join costs ~1–2 µs; sub-batches below these
-// absolute sizes finish faster than that (ranges amortize the hop sooner
-// because each range is a full dyadic decomposition). The effective
-// threshold also scales with the batch (spawnThreshold), so a mid-size
-// batch spread thin across many shards still parallelizes.
-const (
-	inlineMinKeys   = 256
-	inlineMinRanges = 4
-)
+// inlineMinKeys is the per-shard inline cap of a fanned-out insert: a
+// sub-batch below the spawn threshold is applied on the caller's goroutine
+// instead of its own. Goroutine spawn + schedule + join costs ~1–2 µs;
+// sub-batches below this absolute size finish faster than that. The
+// effective threshold also scales with the batch (spawnThreshold), so a
+// mid-size batch spread thin across many shards still parallelizes.
+const inlineMinKeys = 256
 
 // spawnThreshold returns the minimum sub-batch size that earns its own
 // goroutine when total items fan out across n shards: half the mean
@@ -71,11 +67,11 @@ func spawnThreshold(total, n, inlineCap int) int {
 
 // batchScratch carries every buffer one batch request needs. The fields
 // group into decode buffers (filled by the binary codec or the JSON
-// handlers), grouping scratch (counting-sort layout of the batch by owning
-// shard), and the flat sub-batch arrays the per-shard executors read.
-// A scratch is checked out per request (getScratch/putScratch) and never
-// shared; the flat arrays are partitioned by offs so concurrent per-shard
-// goroutines touch disjoint segments.
+// handlers), grouping scratch (counting-sort layout of a key batch by
+// owning shard), and the flat sub-batch arrays the per-shard executors
+// read. A scratch is checked out per request (getScratch/putScratch) and
+// never shared; the flat arrays are partitioned by offs so an insert's
+// per-shard goroutines touch disjoint segments.
 type batchScratch struct {
 	// Request/response byte buffers for the binary codec (binary.go), and
 	// the WAL record of a durable insert (encodeInsert).
@@ -96,13 +92,12 @@ type batchScratch struct {
 	offs    []int
 	cursors []int
 
-	// Flat grouped arrays, partitioned by offs: the keys (or ranges) routed
-	// to each shard, the original batch position of each, and the per-shard
+	// Flat grouped arrays, partitioned by offs: the keys routed to each
+	// shard, the original batch position of each, and the per-shard
 	// verdicts before they are scattered back.
-	flatKeys   []uint64
-	flatRanges [][2]uint64
-	flatPos    []int
-	flatOut    []bool
+	flatKeys []uint64
+	flatPos  []int
+	flatOut  []bool
 
 	// tr is the request's phase trace (internal/obs). Handlers arm it with
 	// Start; the executors below mark shard-dispatch and probe boundaries
@@ -120,12 +115,12 @@ func getScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) 
 // maxRetainedScratchBytes caps how much buffer capacity one scratch may
 // carry back into the pool. Buffers grow to the largest request they ever
 // served, and a pooled scratch is reachable for as long as traffic keeps
-// recycling it — without a cap, one worst-case request (a MaxBatch
-// range-mode batch whose ranges each straddle many spans sizes flatRanges,
-// flatPos and flatOut at that many entries per range) would pin hundreds
-// of MiB per P forever (golang.org/issue/23199). 8 MiB keeps
-// every routine large batch pooled; monsters are rebuilt on their next
-// appearance, which is what the old per-request make() did on every one.
+// recycling it — without a cap, one worst-case request (a MaxBatch key
+// batch sizes keys, ids, flatKeys, flatPos and flatOut at a million
+// entries each) would pin tens of MiB per P forever
+// (golang.org/issue/23199). 8 MiB keeps every routine large batch pooled;
+// monsters are rebuilt on their next appearance, which is what the old
+// per-request make() did on every one.
 const maxRetainedScratchBytes = 8 << 20
 
 // retainedBytes approximates the scratch's total buffer capacity.
@@ -133,7 +128,7 @@ func (sc *batchScratch) retainedBytes() int {
 	return cap(sc.body) + cap(sc.resp) + cap(sc.rec) +
 		8*cap(sc.keys) + 16*cap(sc.ranges) + cap(sc.out) +
 		cap(sc.ids) + 8*(cap(sc.counts)+cap(sc.offs)+cap(sc.cursors)) +
-		8*cap(sc.flatKeys) + 16*cap(sc.flatRanges) + 8*cap(sc.flatPos) + cap(sc.flatOut)
+		8*cap(sc.flatKeys) + 8*cap(sc.flatPos) + cap(sc.flatOut)
 }
 
 // putScratch recycles sc unless its buffers outgrew the retention cap, in
@@ -160,8 +155,8 @@ func grown[T any](s []T, n int) []T {
 // groupKeys partitions keys by owning shard under tab's routing into sc's
 // flat arrays using a counting sort: one routing pass filling ids and
 // counts, an offset scan, and a scatter pass. When track is true, flatPos
-// records each key's original batch position (disjoint segments per shard,
-// so concurrent verdict scatters are race-free).
+// records each key's original batch position, so a query can scatter the
+// per-shard verdicts back.
 func groupKeys(tab *shardTable, keys []uint64, track bool, sc *batchScratch) {
 	n := len(tab.shards)
 	sc.ids = grown(sc.ids, len(keys))
@@ -259,7 +254,7 @@ func (s *ShardedFilter) insertBatchWith(keys []uint64, sc *batchScratch) {
 // filters' layer-major batch insert — inline for small (sub-)batches, one
 // goroutine per shard once a shard's slice is large enough to amortize the
 // spawn. A steady-state call performs no heap allocations below the
-// fan-out threshold.
+// fan-out threshold (fanOutMinKeys).
 func (s *ShardedFilter) InsertBatch(keys []uint64) {
 	sc := getScratch()
 	s.insertBatchWith(keys, sc)
@@ -311,30 +306,6 @@ func (s *ShardedFilter) mayContainBatchWith(keys []uint64, out []bool, sc *batch
 	groupKeys(tab, keys, true, sc)
 	sc.flatOut = grown(sc.flatOut, len(keys))
 	sc.tr.Enter(obs.PhaseProbe)
-	if len(keys) >= fanOutMinKeys {
-		thr := spawnThreshold(len(keys), n, inlineMinKeys)
-		var wg sync.WaitGroup
-		var hits atomic.Uint64
-		for sh := 0; sh < n; sh++ {
-			lo, hi := sc.offs[sh], sc.offs[sh+1]
-			if hi-lo >= thr {
-				wg.Add(1)
-				go func(ss *shardState, lo, hi int) {
-					defer wg.Done()
-					hits.Add(queryShardInto(ss, sc.flatKeys[lo:hi], sc.flatPos[lo:hi], sc.flatOut[lo:hi], out))
-				}(tab.shards[sh], lo, hi)
-			}
-		}
-		for sh := 0; sh < n; sh++ {
-			lo, hi := sc.offs[sh], sc.offs[sh+1]
-			if hi > lo && hi-lo < thr {
-				hits.Add(queryShardInto(tab.shards[sh], sc.flatKeys[lo:hi], sc.flatPos[lo:hi], sc.flatOut[lo:hi], out))
-			}
-		}
-		wg.Wait()
-		s.pointPositives.Add(hits.Load())
-		return
-	}
 	var hits uint64
 	for sh := 0; sh < n; sh++ {
 		lo, hi := sc.offs[sh], sc.offs[sh+1]
@@ -346,53 +317,13 @@ func (s *ShardedFilter) mayContainBatchWith(keys []uint64, out []bool, sc *batch
 }
 
 // MayContainBatch tests every key and stores the verdicts in out, which
-// must have the same length as keys (it panics otherwise). Large per-shard
-// sub-batches probe in parallel; a steady-state call below the fan-out
-// threshold performs no heap allocations.
+// must have the same length as keys (it panics otherwise). The shards'
+// sub-batches probe one after another on the caller's goroutine; a
+// steady-state call performs no heap allocations.
 func (s *ShardedFilter) MayContainBatch(keys []uint64, out []bool) {
 	sc := getScratch()
 	s.mayContainBatchWith(keys, out, sc)
 	putScratch(sc)
-}
-
-// groupRanges partitions a range batch by owning shard into sc's flat
-// arrays under range partitioning: each range lands in the segment of every
-// shard whose span it intersects (rangeShards — usually exactly one), with
-// original batch positions tracked so per-shard verdicts can be
-// OR-scattered back. Unlike keys, one range can appear in several shards'
-// segments, so the flat arrays are sized by a counting pass first.
-func groupRanges(tab *shardTable, ranges [][2]uint64, sc *batchScratch) {
-	n := len(tab.shards)
-	sc.counts = grown(sc.counts, n)
-	sc.offs = grown(sc.offs, n+1)
-	sc.cursors = grown(sc.cursors, n)
-	for sh := range sc.counts {
-		sc.counts[sh] = 0
-	}
-	for _, r := range ranges {
-		first, last := tab.part.rangeShards(r[0], r[1])
-		for sh := first; sh <= last; sh++ {
-			sc.counts[sh]++
-		}
-	}
-	off := 0
-	for sh := 0; sh < n; sh++ {
-		sc.offs[sh] = off
-		sc.cursors[sh] = off
-		off += sc.counts[sh]
-	}
-	sc.offs[n] = off
-	sc.flatRanges = grown(sc.flatRanges, off)
-	sc.flatPos = grown(sc.flatPos, off)
-	for j, r := range ranges {
-		first, last := tab.part.rangeShards(r[0], r[1])
-		for sh := first; sh <= last; sh++ {
-			c := sc.cursors[sh]
-			sc.flatRanges[c] = r
-			sc.flatPos[c] = j
-			sc.cursors[sh] = c + 1
-		}
-	}
 }
 
 // mayContainRangeBatchWith is MayContainRangeBatch against caller-provided
@@ -406,22 +337,13 @@ func (s *ShardedFilter) mayContainRangeBatchWith(ranges [][2]uint64, out []bool,
 	}
 	s.rangeQueries.Add(uint64(len(ranges)))
 	tab := s.tab.Load()
-	switch {
-	case tab.part.mode() == PartitionHash:
-		sc.tr.Enter(obs.PhaseProbe)
+	sc.tr.Enter(obs.PhaseProbe)
+	if tab.part.mode() == PartitionHash {
 		s.hashRanges(tab, ranges, out)
-	case len(tab.shards) == 1:
-		sc.tr.Enter(obs.PhaseProbe)
-		ss := tab.shards[0]
-		ss.rangeProbes.Add(uint64(len(ranges)))
-		ss.f.MayContainRangeBatch(ranges, out)
-	case len(ranges) < fanOutMinRanges:
-		sc.tr.Enter(obs.PhaseProbe)
+	} else {
 		for j, r := range ranges {
 			out[j] = s.rangeOne(tab, r[0], r[1])
 		}
-	default:
-		s.rangeBatchPartitioned(tab, ranges, out, sc)
 	}
 	var hits uint64
 	for _, ok := range out {
@@ -435,14 +357,12 @@ func (s *ShardedFilter) mayContainRangeBatchWith(ranges [][2]uint64, out []bool,
 // MayContainRangeBatch tests every [lo, hi] pair and stores the verdicts in
 // out, which must have the same length as ranges (it panics otherwise).
 //
-// Under hash partitioning every range consults every shard, and the batch
-// runs serially through hashRanges: one range plan per range, executed
-// across all the shards at once. Under range partitioning the batch is
-// instead grouped per owning shard (each range routes to the shards whose
-// span it intersects, typically one), so the total probe work is near 1/N
-// of the hash mode's, and large per-shard sub-batches run on their own
-// goroutines. A steady-state call performs no heap allocations, except a
-// range-mode batch large enough to spawn.
+// The batch runs on the caller's goroutine. Under hash partitioning every
+// range consults every shard, through hashRanges: one range plan per
+// range, executed across all the shards at once. Under range partitioning
+// each range probes only the shards whose span it intersects (rangeOne,
+// typically one shard), so the total probe work is near 1/N of the hash
+// mode's. A steady-state call performs no heap allocations.
 func (s *ShardedFilter) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
 	sc := getScratch()
 	s.mayContainRangeBatchWith(ranges, out, sc)
@@ -494,50 +414,5 @@ func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bo
 			hit = slices.Contains(each[:len(blk)], true)
 		}
 		out[j] = hit
-	}
-}
-
-// rangeBatchPartitioned is the large-batch range-mode path: group ranges
-// per owning shard, answer big sub-batches on their own goroutines (small
-// ones inline), and OR-scatter the verdicts back (serially — a
-// span-straddling range may have verdicts from two shards).
-func (s *ShardedFilter) rangeBatchPartitioned(tab *shardTable, ranges [][2]uint64, out []bool, sc *batchScratch) {
-	sc.tr.Enter(obs.PhaseShardDispatch)
-	groupRanges(tab, ranges, sc)
-	for j := range out {
-		out[j] = false
-	}
-	n := len(tab.shards)
-	total := sc.offs[n]
-	sc.flatOut = grown(sc.flatOut, total)
-	sc.tr.Enter(obs.PhaseProbe)
-	thr := spawnThreshold(total, n, inlineMinRanges)
-	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		lo, hi := sc.offs[sh], sc.offs[sh+1]
-		if hi == lo {
-			continue
-		}
-		ss := tab.shards[sh]
-		ss.rangeProbes.Add(uint64(hi - lo))
-		if hi-lo >= thr {
-			wg.Add(1)
-			go func(ss *shardState, lo, hi int) {
-				defer wg.Done()
-				ss.f.MayContainRangeBatch(sc.flatRanges[lo:hi], sc.flatOut[lo:hi])
-			}(ss, lo, hi)
-		}
-	}
-	for sh := 0; sh < n; sh++ {
-		lo, hi := sc.offs[sh], sc.offs[sh+1]
-		if hi > lo && hi-lo < thr {
-			tab.shards[sh].f.MayContainRangeBatch(sc.flatRanges[lo:hi], sc.flatOut[lo:hi])
-		}
-	}
-	wg.Wait()
-	for c, j := range sc.flatPos[:total] {
-		if sc.flatOut[c] {
-			out[j] = true
-		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestSpawnThreshold pins the fan-out policy's arithmetic: uniform
+// TestSpawnThreshold pins the insert fan-out policy's arithmetic: uniform
 // sub-batches (≈ total/n) always clear the threshold, so a batch past the
 // fan-out cutoff parallelizes regardless of how many shards split it, and
 // the threshold never exceeds the absolute inline cap or drops below 1.
@@ -17,7 +17,6 @@ func TestSpawnThreshold(t *testing.T) {
 		{1 << 20, 8, inlineMinKeys, 256}, // big batch: absolute cap
 		{2048, 256, inlineMinKeys, 4},    // cutoff batch, max shards: tiny but ≥ 1
 		{100, 256, inlineMinKeys, 1},     // degenerate: floor at 1
-		{64, 16, inlineMinRanges, 2},     // ranges scale the same way
 	}
 	for _, c := range cases {
 		if got := spawnThreshold(c.total, c.n, c.cap); got != c.want {
@@ -29,10 +28,11 @@ func TestSpawnThreshold(t *testing.T) {
 	}
 }
 
-// TestSkewedBatchEquivalence drives the mixed spawn-plus-inline path:
-// range partitioning with keys clustered into one span gives one huge
-// sub-batch (spawned) and many stragglers (inline), and the fan-out must
-// still return bit-identical answers to the serial path.
+// TestSkewedBatchEquivalence drives the insert fan-out's mixed
+// spawn-plus-inline path: range partitioning with keys clustered into one
+// span gives one huge sub-batch (spawned) and many stragglers (inline).
+// The serial query executors must then answer exactly as the reference
+// paths do on the same skew, for point and range batches.
 func TestSkewedBatchEquivalence(t *testing.T) {
 	s, err := NewSharded(FilterOptions{
 		ExpectedKeys: 200_000, BitsPerKey: 16, Shards: 16, Partitioning: PartitionRange,
@@ -42,7 +42,7 @@ func TestSkewedBatchEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(86))
 	span := ^uint64(0)/16 + 1
-	keys := make([]uint64, 3*fanOutMinKeys)
+	keys := make([]uint64, 6144)
 	for i := range keys {
 		if i%8 == 0 {
 			keys[i] = rng.Uint64() // spread: most shards get a straggler sub-batch
@@ -52,29 +52,32 @@ func TestSkewedBatchEquivalence(t *testing.T) {
 	}
 	s.InsertBatch(keys[:len(keys)/2])
 
-	serial := make([]bool, len(keys))
-	fan := make([]bool, len(keys))
-	s.queryBatchSerial(keys, serial)
-	s.MayContainBatch(keys, fan)
-	for i := range serial {
-		if serial[i] != fan[i] {
-			t.Fatalf("skewed fan-out diverges at %d", i)
+	want := make([]bool, len(keys))
+	got := make([]bool, len(keys))
+	s.queryBatchSerial(keys, want)
+	s.MayContainBatch(keys, got)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("skewed point batch diverges at %d", i)
+		}
+		if i < len(keys)/2 && !got[i] {
+			t.Fatalf("skewed insert lost key %#x", keys[i])
 		}
 	}
 
 	// Range batch with the same skew: bulk of the ranges in shard 0's span.
-	ranges := make([][2]uint64, 2*fanOutMinRanges*16)
+	ranges := make([][2]uint64, 512)
 	for i := range ranges {
 		x := keys[rng.Intn(len(keys))]
 		ranges[i] = [2]uint64{x - 100, x + 100}
 	}
 	rs := make([]bool, len(ranges))
-	rf := make([]bool, len(ranges))
+	rg := make([]bool, len(ranges))
 	s.rangeBatchSerial(ranges, rs)
-	s.MayContainRangeBatch(ranges, rf)
+	s.MayContainRangeBatch(ranges, rg)
 	for i := range rs {
-		if rs[i] != rf[i] {
-			t.Fatalf("skewed range fan-out diverges at %d", i)
+		if rs[i] != rg[i] {
+			t.Fatalf("skewed range batch diverges at %d", i)
 		}
 	}
 }

@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
-// BenchmarkBatch* for the sharded serving path, comparing the PR 1 serial
-// per-shard loop against the per-shard goroutine fan-out the batch
-// endpoints now use for large batches. Run with the family:
+// BenchmarkBatch* for the sharded serving path, comparing the first
+// serial per-shard loop (fresh per-shard slices on every call, below)
+// against the batch APIs the endpoints use. Run with the family:
 //
 //	go test ./internal/server -run xxx -bench Batch
 //
-// Expectation: serial and fanout match at shards=1 (fan-out is bypassed),
-// and fanout wins increasingly from 4 shards up on multi-core hosts.
+// Expectation: lookups run on the caller's goroutine either way; batch
+// beats serial on points by the allocations it skips, and on hash-routed
+// ranges by sharing one range plan across the shards. For inserts of these
+// 65,536 keys, batch fans out one goroutine per shard and wins from 4
+// shards up on multi-core hosts; at shards=1 the two match.
 
 // benchFilter builds a filter preloaded with half the benchmark keys so
 // lookups see a mix of hits and misses.
@@ -34,8 +37,8 @@ func benchFilter(b *testing.B, shards int) (*ShardedFilter, []uint64) {
 	return s, keys
 }
 
-// groupAlloc is the PR 1 grouping pass, preserved here as the baseline the
-// serial benchmarks measure against: per-shard sub-slices are allocated
+// groupAlloc is the first grouping pass, preserved here as the baseline
+// the serial benchmarks measure against: per-shard sub-slices are allocated
 // fresh on every call (the live path now counting-sorts into pooled flat
 // arrays, batchexec.go).
 func (s *ShardedFilter) groupAlloc(keys []uint64, track bool) (bkeys [][]uint64, bpos [][]int) {
@@ -71,7 +74,7 @@ func (s *ShardedFilter) groupAlloc(keys []uint64, track bool) (bkeys [][]uint64,
 	return bkeys, bpos
 }
 
-// insertBatchSerial is the PR 1 request path: group, then shard sub-batches
+// insertBatchSerial is the first request path: group, then shard sub-batches
 // one after another on the caller's goroutine.
 func (s *ShardedFilter) insertBatchSerial(keys []uint64) {
 	tab := s.tab.Load()
@@ -85,7 +88,7 @@ func (s *ShardedFilter) insertBatchSerial(keys []uint64) {
 	}
 }
 
-// queryBatchSerial is the PR 1 lookup path: per-shard verdict slices are
+// queryBatchSerial is the first lookup path: per-shard verdict slices are
 // allocated per call, verdicts scattered back by tracked position.
 func (s *ShardedFilter) queryBatchSerial(keys []uint64, out []bool) {
 	tab := s.tab.Load()
@@ -124,7 +127,7 @@ func BenchmarkBatchShardedInsert(b *testing.B) {
 			}
 		})
 		s, keys = benchFilter(b, shards)
-		b.Run(fmt.Sprintf("fanout/shards=%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch/shards=%d", shards), func(b *testing.B) {
 			b.SetBytes(int64(len(keys)) * 8)
 			for i := 0; i < b.N; i++ {
 				s.InsertBatch(keys)
@@ -143,7 +146,7 @@ func BenchmarkBatchShardedPointLookup(b *testing.B) {
 				s.queryBatchSerial(keys, out)
 			}
 		})
-		b.Run(fmt.Sprintf("fanout/shards=%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch/shards=%d", shards), func(b *testing.B) {
 			b.SetBytes(int64(len(keys)) * 8)
 			for i := 0; i < b.N; i++ {
 				s.MayContainBatch(keys, out)
@@ -167,7 +170,7 @@ func BenchmarkBatchShardedRangeLookup(b *testing.B) {
 				s.rangeBatchSerial(ranges, out)
 			}
 		})
-		b.Run(fmt.Sprintf("fanout/shards=%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batch/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.MayContainRangeBatch(ranges, out)
 			}
@@ -207,9 +210,10 @@ func BenchmarkBatchShardedRangeLookup(b *testing.B) {
 	}
 }
 
-// TestBatchFanOutEquivalence pins that the fan-out paths return the same
-// answers as the serial paths on the same filter, above and below the
-// fan-out thresholds.
+// TestBatchFanOutEquivalence pins that the batch executors return the
+// same answers as the reference paths on the same filter: point batches of
+// 1024 and 6144 keys and range batches of 8 and 256 ranges on the serial
+// executors, and a 4096-key insert through the insert fan-out.
 func TestBatchFanOutEquivalence(t *testing.T) {
 	s, keys := func() (*ShardedFilter, []uint64) {
 		s, err := NewSharded(FilterOptions{ExpectedKeys: 100_000, BitsPerKey: 16, Shards: 8})
@@ -217,38 +221,38 @@ func TestBatchFanOutEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(73))
-		keys := make([]uint64, 3*fanOutMinKeys)
+		keys := make([]uint64, 6144)
 		for i := range keys {
 			keys[i] = rng.Uint64()
 		}
 		s.InsertBatch(keys[:len(keys)/2])
 		return s, keys
 	}()
-	for _, n := range []int{fanOutMinKeys / 2, 3 * fanOutMinKeys} {
-		serial := make([]bool, n)
-		fan := make([]bool, n)
-		s.queryBatchSerial(keys[:n], serial)
-		s.MayContainBatch(keys[:n], fan)
-		for i := range serial {
-			if serial[i] != fan[i] {
-				t.Fatalf("n=%d: fan-out diverges at %d", n, i)
+	for _, n := range []int{1024, 6144} {
+		want := make([]bool, n)
+		got := make([]bool, n)
+		s.queryBatchSerial(keys[:n], want)
+		s.MayContainBatch(keys[:n], got)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("n=%d: point batch diverges at %d", n, i)
 			}
 		}
 	}
 	rng := rand.New(rand.NewSource(74))
-	for _, n := range []int{fanOutMinRanges / 2, 16 * fanOutMinRanges} {
+	for _, n := range []int{8, 256} {
 		ranges := make([][2]uint64, n)
 		for i := range ranges {
 			x := keys[rng.Intn(len(keys))]
 			ranges[i] = [2]uint64{x - 100, x + 100}
 		}
-		serial := make([]bool, n)
-		fan := make([]bool, n)
-		s.rangeBatchSerial(ranges, serial)
-		s.MayContainRangeBatch(ranges, fan)
-		for i := range serial {
-			if serial[i] != fan[i] {
-				t.Fatalf("ranges n=%d: fan-out diverges at %d", n, i)
+		want := make([]bool, n)
+		got := make([]bool, n)
+		s.rangeBatchSerial(ranges, want)
+		s.MayContainRangeBatch(ranges, got)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("ranges n=%d: range batch diverges at %d", n, i)
 			}
 		}
 	}

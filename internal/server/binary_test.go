@@ -42,7 +42,8 @@ func doBinReq(t testing.TB, a *API, method, path, contentType string, body []byt
 // binary codecs on the same filters and requires bit-identical verdicts:
 // keys inserted through one codec must be visible through the other, and
 // every batch query must agree element-wise across codecs, for both
-// partitioning modes and batch sizes straddling the fan-out thresholds.
+// partitioning modes and batch sizes straddling the insert fan-out
+// threshold.
 func TestBinaryJSONEquivalence(t *testing.T) {
 	for _, mode := range []Partitioning{PartitionHash, PartitionRange} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -304,19 +305,30 @@ func jsonRangesBody(ranges [][2]uint64) []byte {
 }
 
 // testBatchZeroAlloc serves each op's request, encoded by body in the given
-// Content-Type, through a warm API with 1 and 8 hash shards and requires
-// zero allocations per request. Range queries go in two sizes: 8 ranges,
-// and 256, past fanOutMinRanges, the shape of the range-json-cached
-// benchmark workload.
+// Content-Type, through a warm API with 1 and 8 hash shards and 8 range
+// shards, and requires zero allocations per request. Point queries go in
+// two sizes: 512 keys, and 4096, past the insert fan-out threshold (query
+// batches never fan out). Range queries go in two sizes: 8 ranges, and
+// 256, the shape of the range-json-cached benchmark workload. Inserts stay
+// at 512 keys: larger ones fan out one goroutine per shard.
 func testBatchZeroAlloc(t *testing.T, contentType string, body func(op latOp, keys []uint64, ranges [][2]uint64) []byte) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on the measured path; run without -race")
 	}
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			a, _ := newBinaryTestAPI(t, FilterOptions{ExpectedKeys: 100_000, BitsPerKey: 16, Shards: shards})
+	for _, fc := range []struct {
+		shards int
+		mode   Partitioning
+	}{{1, PartitionHash}, {8, PartitionHash}, {8, PartitionRange}} {
+		name := fmt.Sprintf("shards=%d", fc.shards)
+		if fc.mode == PartitionRange {
+			name = "range/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			a, _ := newBinaryTestAPI(t, FilterOptions{
+				ExpectedKeys: 100_000, BitsPerKey: 16, Shards: fc.shards, Partitioning: fc.mode,
+			})
 			rng := rand.New(rand.NewSource(7))
-			keys := make([]uint64, 512) // below fanOutMinKeys: the inline path
+			keys := make([]uint64, 4096)
 			for i := range keys {
 				keys[i] = rng.Uint64()
 			}
@@ -327,14 +339,23 @@ func testBatchZeroAlloc(t *testing.T, contentType string, body func(op latOp, ke
 			}
 			for _, rq := range []struct {
 				op     latOp
+				keys   []uint64
 				ranges [][2]uint64
-			}{{opQuery, nil}, {opQueryRange, ranges[:8]}, {opQueryRange, ranges}, {opInsert, nil}} {
+			}{
+				{opQuery, keys[:512], nil},
+				{opQuery, keys, nil},
+				{opQueryRange, nil, ranges[:8]},
+				{opQueryRange, nil, ranges},
+				{opInsert, keys[:512], nil},
+			} {
 				op := rq.op
 				name := latOpNames[op]
 				if op == opQueryRange {
 					name = fmt.Sprintf("%s/ranges=%d", name, len(rq.ranges))
+				} else {
+					name = fmt.Sprintf("%s/keys=%d", name, len(rq.keys))
 				}
-				rb := &rewindableBody{data: body(op, keys, rq.ranges)}
+				rb := &rewindableBody{data: body(op, rq.keys, rq.ranges)}
 				req := httptest.NewRequest("POST", "/v1/filters/f/"+latOpNames[op], rb)
 				req.Header.Set("Content-Type", contentType)
 				req.Body = rb

@@ -8,18 +8,21 @@ import (
 )
 
 // Hash-routed range queries run one range plan across all shards
-// (hashRanges). These tests hold that executor to the plain definition: a
-// range may match iff some shard's own MayContainRange says it may.
+// (hashRanges); range-routed ones probe the shards whose span they
+// intersect, range by range (rangeOne). These tests hold both executors to
+// the plain definition: a range may match iff some routed shard's own
+// MayContainRange says it may.
 
 // hashRangeShardCounts covers one shard, a few, the served default, one
 // past a 64-filter block and MaxShards.
 var hashRangeShardCounts = []int{1, 2, 8, 65, MaxShards}
 
 // hashRangeCase is one filter layout under test: a backend, a shard count,
-// and for bloomRF whether the shards are MaxRange-tuned.
+// a partitioning, and for bloomRF whether the shards are MaxRange-tuned.
 type hashRangeCase struct {
 	backend string
 	shards  int
+	part    Partitioning
 	tuned   bool
 }
 
@@ -28,16 +31,21 @@ func (c hashRangeCase) String() string {
 	if c.tuned {
 		s += "/tuned"
 	}
+	if c.part == PartitionRange {
+		s += "/range"
+	}
 	return s
 }
 
 func hashRangeCases() []hashRangeCase {
 	var cs []hashRangeCase
-	for _, b := range Backends() {
-		for _, n := range hashRangeShardCounts {
-			cs = append(cs, hashRangeCase{backend: b, shards: n})
-			if b == BackendBloomRF {
-				cs = append(cs, hashRangeCase{backend: b, shards: n, tuned: true})
+	for _, part := range []Partitioning{PartitionHash, PartitionRange} {
+		for _, b := range Backends() {
+			for _, n := range hashRangeShardCounts {
+				cs = append(cs, hashRangeCase{backend: b, shards: n, part: part})
+				if b == BackendBloomRF {
+					cs = append(cs, hashRangeCase{backend: b, shards: n, part: part, tuned: true})
+				}
 			}
 		}
 	}
@@ -46,7 +54,8 @@ func hashRangeCases() []hashRangeCase {
 
 // hashRangeKeys is the key set every case loads: random keys, a cluster
 // at the bottom of the key space and one at the top, so that the special
-// ranges below have keys to find.
+// ranges below have keys to find, and one key just past each span start
+// of every tested shard count, for spanRanges.
 func hashRangeKeys() []uint64 {
 	rng := rand.New(rand.NewSource(23))
 	keys := make([]uint64, 0, 3000)
@@ -56,15 +65,32 @@ func hashRangeKeys() []uint64 {
 	for i := uint64(0); i < 50; i++ {
 		keys = append(keys, 7*i, ^uint64(0)-11*i)
 	}
+	for _, n := range hashRangeShardCounts {
+		for i := 1; i < n; i++ {
+			keys = append(keys, spanStart(uint64(i), uint64(n))+3)
+		}
+	}
 	return keys
 }
 
-// newHashRangeFilter builds and loads the case's hash-routed filter.
+// spanRanges returns, for each span start of an n-shard range-routed
+// filter, a range that begins in the span below it and holds the key just
+// past it: a range-routed query must probe the second shard too.
+func spanRanges(n int) [][2]uint64 {
+	rs := make([][2]uint64, 0, n-1)
+	for i := 1; i < n; i++ {
+		b := spanStart(uint64(i), uint64(n))
+		rs = append(rs, [2]uint64{b - 100, b + 10})
+	}
+	return rs
+}
+
+// newHashRangeFilter builds and loads the case's filter.
 func newHashRangeFilter(t testing.TB, c hashRangeCase, keys []uint64) *ShardedFilter {
 	t.Helper()
 	opt := FilterOptions{
 		ExpectedKeys: 4096, BitsPerKey: 16, Shards: c.shards,
-		Partitioning: PartitionHash, Backend: c.backend,
+		Partitioning: c.part, Backend: c.backend,
 	}
 	if c.tuned {
 		opt.MaxRange = 1 << 24
@@ -131,7 +157,7 @@ var hashRangeSpecials = [][2]uint64{
 
 // checkHashRanges requires MayContainRange on every range, and
 // MayContainRangeBatch on every batch of each size, to equal the OR of the
-// shards' own answers. It returns the reference verdicts.
+// routed shards' own answers. It returns the reference verdicts.
 func checkHashRanges(t testing.TB, f *ShardedFilter, ranges [][2]uint64, sizes []int) []bool {
 	t.Helper()
 	want := make([]bool, len(ranges))
@@ -157,9 +183,9 @@ func checkHashRanges(t testing.TB, f *ShardedFilter, ranges [][2]uint64, sizes [
 	return want
 }
 
-// TestHashRangeMatchesShards: on every backend, shard count and bloomRF
-// layout, single and batched hash-routed range queries of sizes 1, 15, 16
-// and 256 answer exactly the OR of the shards' own answers.
+// TestHashRangeMatchesShards: on every backend, shard count, partitioning
+// and bloomRF layout, single and batched range queries of sizes 1, 15, 16
+// and 256 answer exactly the OR of the routed shards' own answers.
 func TestHashRangeMatchesShards(t *testing.T) {
 	keys := hashRangeKeys()
 	for _, c := range hashRangeCases() {
@@ -167,6 +193,7 @@ func TestHashRangeMatchesShards(t *testing.T) {
 			f := newHashRangeFilter(t, c, keys)
 			rng := rand.New(rand.NewSource(int64(c.shards)))
 			ranges := append(hashRangeInputs(rng, keys, 512), hashRangeSpecials...)
+			ranges = append(ranges, spanRanges(c.shards)...)
 			want := checkHashRanges(t, f, ranges, []int{1, 15, 16, 256})
 			if c.backend != BackendBloomRF {
 				// The Bloom filter is point-only, and small Rosetta and SuRF
@@ -186,8 +213,8 @@ func TestHashRangeMatchesShards(t *testing.T) {
 	}
 }
 
-// FuzzShardedRange holds the one-plan executor to the per-shard OR on
-// fuzzed bounds and batch sizes, across the layouts of
+// FuzzShardedRange holds the range executors of both routings to the
+// per-shard OR on fuzzed bounds and batch sizes, across the layouts of
 // TestHashRangeMatchesShards.
 func FuzzShardedRange(f *testing.F) {
 	cases := hashRangeCases()
@@ -197,6 +224,11 @@ func FuzzShardedRange(f *testing.F) {
 	f.Add(uint8(3), uint64(7), uint64(7), uint16(15), int64(2))
 	f.Add(uint8(7), ^uint64(0), uint64(1)<<63, uint16(255), int64(3))
 	f.Add(uint8(9), uint64(1000), uint64(1<<20), uint16(16), int64(4))
+	// Range-routed layouts follow the hash-routed ones in cases.
+	hashCases := len(cases) / 2
+	f.Add(uint8(hashCases+3), uint64(1)<<62-5, uint64(1)<<62+5, uint16(255), int64(5))
+	f.Add(uint8(hashCases+17), uint64(0), ^uint64(0), uint16(16), int64(6))
+	f.Add(uint8(hashCases+24), ^uint64(0)-1000, ^uint64(0), uint16(1), int64(7))
 	f.Fuzz(func(t *testing.T, c uint8, lo, hi uint64, n uint16, seed int64) {
 		i := int(c) % len(cases)
 		if filters[i] == nil {

@@ -108,11 +108,11 @@ func TestRangeRoutingProbesOnlyOverlappingShards(t *testing.T) {
 		}
 	}
 
-	// Grouped batch path (≥ fanOutMinRanges): all ranges inside shard 5's
-	// span advance only shard 5's counter, by the batch size.
+	// Batch path: all ranges inside shard 5's span advance only shard 5's
+	// counter, by the batch size.
 	f = newFilter(PartitionRange)
 	lo5, _ := p.spanOf(5)
-	ranges := make([][2]uint64, 4*fanOutMinRanges)
+	ranges := make([][2]uint64, 64)
 	for i := range ranges {
 		base := lo5 + uint64(i)*1000
 		ranges[i] = [2]uint64{base, base + 500}

@@ -10,10 +10,11 @@
 //     the name table; filter operations never serialize on it.
 //   - ShardedFilter (this file) splits one logical filter across N
 //     independent bloomRF instances so concurrent inserts land on disjoint
-//     bit arrays, and fans large batch operations out one goroutine per
-//     shard through the zero-allocation batch APIs (batchexec.go). A
-//     hash-routed range query is the exception: it probes every shard from
-//     one range plan, serially, since all the shards share one layout.
+//     bit arrays, and serves every operation through the zero-allocation
+//     batch APIs (batchexec.go). Queries run on the caller's goroutine; a
+//     hash-routed range probes every shard from one range plan, since all
+//     the shards share one layout. Only large insert batches fan out one
+//     goroutine per shard.
 //   - partitioner (partition.go) is the routing strategy between them:
 //     which shard owns a key, and which shards a range query must probe.
 //
@@ -62,18 +63,12 @@ const MaxShards = 256
 // host into the ground.
 const MaxFilterBits = 1 << 36
 
-// Fan-out thresholds: batches below these sizes run the serial per-shard
-// loop, because spawning goroutines costs more than the work they would
-// parallelize. Keys are cheap (tens of ns per key), ranges are expensive
-// (a dyadic decomposition per shard), hence the asymmetric cutoffs. Above
-// the threshold the fan-out is still per-shard selective: sub-batches
-// smaller than the inline thresholds in batchexec.go run on the caller's
-// goroutine. fanOutMinRanges applies under range partitioning only; a
-// hash-routed range batch always runs serially (hashRanges).
-const (
-	fanOutMinKeys   = 2048
-	fanOutMinRanges = 16
-)
+// fanOutMinKeys is the insert fan-out threshold: an insert batch below it
+// runs the serial per-shard loop, because spawning goroutines costs more
+// than the work they would parallelize. Above it the fan-out is still
+// per-shard selective: sub-batches smaller than the inline threshold in
+// batchexec.go run on the caller's goroutine. Query batches never fan out.
+const fanOutMinKeys = 2048
 
 // histBuckets is the resolution of the per-shard insert-key histogram that
 // drives split-point selection (split.go). 16 equal-width buckets over the
@@ -527,45 +522,28 @@ func (s *ShardedFilter) setSnapshotInfo(info SnapshotInfo) { s.snap.Store(&info)
 // if the filter has never been snapshotted.
 func (s *ShardedFilter) LastSnapshot() *SnapshotInfo { return s.snap.Load() }
 
-// Insert adds one key. The counters bump inside the shard lock so a
-// snapshot's manifest never undercounts the keys its blobs contain. The
-// retry loop handles a concurrent split retiring the owning shard between
-// routing and locking — validate-after-lock, re-route through the new
-// table (see insertShard).
+// Insert adds one key: a one-key InsertBatch, so insertShard is the one
+// place an insert takes the shard lock and bumps the counters. The key
+// goes through the pooled scratch, so a warm call does not allocate.
 func (s *ShardedFilter) Insert(key uint64) {
-	for {
-		tab := s.tab.Load()
-		sh := int(tab.part.shardOf(key))
-		ss := tab.shards[sh]
-		ss.mu.RLock()
-		if s.tab.Load() != tab {
-			ss.mu.RUnlock()
-			continue
-		}
-		ss.mut.Add(1)
-		ss.f.Insert(key)
-		s.keys.Add(1)
-		ss.keys.Add(1)
-		ss.noteInserts([]uint64{key})
-		ss.mu.RUnlock()
-		return
-	}
+	sc := getScratch()
+	sc.keys = append(sc.keys[:0], key)
+	s.insertBatchWith(sc.keys, sc)
+	putScratch(sc)
 }
 
-// MayContain tests one key; false is definitive. Both partitioning modes
+// MayContain tests one key; false is definitive. It is a one-key
+// MayContainBatch through the pooled scratch: both partitioning modes
 // probe exactly the one shard owning the key. Queries never validate the
 // table: a shard a split just retired still answers correctly for every
 // key it was ever routed (its bits are a superset of the replacement's).
 func (s *ShardedFilter) MayContain(key uint64) bool {
-	tab := s.tab.Load()
-	sh := tab.part.shardOf(key)
-	ss := tab.shards[sh]
-	ss.pointProbes.Add(1)
-	ok := ss.f.MayContain(key)
-	s.pointQueries.Add(1)
-	if ok {
-		s.pointPositives.Add(1)
-	}
+	sc := getScratch()
+	sc.keys = append(sc.keys[:0], key)
+	sc.out = grown(sc.out, 1)
+	s.mayContainBatchWith(sc.keys, sc.out, sc)
+	ok := sc.out[0]
+	putScratch(sc)
 	return ok
 }
 
@@ -610,9 +588,10 @@ func (s *ShardedFilter) MayContainRange(lo, hi uint64) bool {
 }
 
 // insertShard runs one shard's sub-batch under the shard's read lock,
-// counting the keys before the lock drops (see Insert). It reports false —
-// nothing applied — when the shard table changed between the caller's load
-// and the lock acquisition: the shard may have been retired by a split, and
+// counting the keys before the lock drops, so a snapshot's manifest never
+// undercounts the keys its blobs contain. It reports false — nothing
+// applied — when the shard table changed between the caller's load and the
+// lock acquisition: the shard may have been retired by a split, and
 // inserting into a retired shard after its replacement was captured would
 // lose the keys. The caller re-routes the sub-batch through the new table.
 // The batch entry points that feed it live in batchexec.go, which owns the

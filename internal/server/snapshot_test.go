@@ -98,7 +98,7 @@ func TestSnapshotInsertQueryRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(200 + g)))
-			keys := make([]uint64, 4096) // above fanOutMinKeys: exercises goroutine fan-out
+			keys := make([]uint64, 4096) // a large batch: grouped across every shard
 			out := make([]bool, len(keys))
 			ranges := make([][2]uint64, 64)
 			rout := make([]bool, len(ranges))

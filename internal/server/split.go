@@ -457,7 +457,7 @@ func replayTail(tab *shardTable, name string, l *wal.Log, from, to uint64, lo, h
 		if rname != name {
 			continue
 		}
-		for _, k := range keys {
+		for i, k := range keys {
 			if k < lo || k > hi {
 				continue
 			}
@@ -465,7 +465,7 @@ func replayTail(tab *shardTable, name string, l *wal.Log, from, to uint64, lo, h
 			ss := tab.shards[sh]
 			ss.mu.RLock()
 			ss.mut.Add(1)
-			ss.f.Insert(k)
+			ss.f.InsertBatch(keys[i : i+1])
 			ss.mu.RUnlock()
 			n++
 		}
