@@ -2,7 +2,7 @@ package main
 
 // Serving-layer logging. Everything bloomrfd prints while serving flows
 // through one leveled slog logger: operator lines from main, the server
-// package's structured key=value lines (Config.Logf), snapshotter and
+// package's structured key=value lines (Config.Logf), snapshot-loop and
 // follower diagnostics, and the slow-request JSON lines from the phase
 // tracer. -log-format selects the rendering (human text, or one JSON
 // object per line for log shippers); levels are sniffed from the

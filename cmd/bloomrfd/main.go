@@ -128,7 +128,7 @@ func main() {
 	}
 
 	// One leveled structured logger owns every line — main's operational
-	// messages, the server package's Logf hooks, snapshotter/follower
+	// messages, the server package's Logf hooks, snapshot-loop/follower
 	// diagnostics, slow-request JSON lines.
 	logger, err := newAppLogger(*logFormat)
 	if err != nil {
@@ -146,15 +146,25 @@ func main() {
 		AutoSplitSkewThreshold: *autoSplitThreshold,
 		MaxInflightBatches:     *maxInflight,
 		SlowRequestThreshold:   *slowReqThreshold,
+		SnapshotInterval:       *snapshotInterval,
 		Logf:                   logger.logf,
 	}
 	reg := server.NewRegistry()
 	var (
-		store       *server.Store
-		wlog        *wal.Log
-		snapshotter *server.Snapshotter
-		follower    *server.Follower
+		store   *server.Store
+		walOpts = wal.Options{
+			Dir:          filepath.Join(*dataDir, "wal"),
+			Policy:       syncPolicy,
+			SyncInterval: *walSyncInterval,
+			SegmentBytes: *walSegmentBytes,
+		}
+		follower *server.Follower
 	)
+	if *dataDir != "" {
+		if store, err = server.OpenStore(filepath.Join(*dataDir, "snapshots")); err != nil {
+			logger.fatalf("bloomrfd: %v", err)
+		}
+	}
 
 	switch {
 	case *follow != "":
@@ -168,7 +178,6 @@ func main() {
 		if *autoPromote && *hbTimeout <= 0 {
 			logger.fatalf("bloomrfd: -auto-promote requires -replication-heartbeat-timeout > 0 (the detection window)")
 		}
-		var err error
 		follower, err = server.NewFollower(*follow, reg, logger.logf)
 		if err != nil {
 			logger.fatalf("bloomrfd: %v", err)
@@ -180,17 +189,7 @@ func main() {
 		cfg.Replication = follower.Status
 		cfg.ReplicationLag = follower.LagSnapshot
 		cfg.HeartbeatTimeout = *hbTimeout
-		if *dataDir != "" {
-			store, err = server.OpenStore(filepath.Join(*dataDir, "snapshots"))
-			if err != nil {
-				logger.fatalf("bloomrfd: %v", err)
-			}
-			walOpts := wal.Options{
-				Dir:          filepath.Join(*dataDir, "wal"),
-				Policy:       syncPolicy,
-				SyncInterval: *walSyncInterval,
-				SegmentBytes: *walSegmentBytes,
-			}
+		if store != nil {
 			// A fenced-then-restarted old primary must announce the epoch
 			// it once served at, or a stale primary could bootstrap it.
 			recovered, err := server.RecoverEpoch(store, walOpts)
@@ -198,49 +197,23 @@ func main() {
 				logger.fatalf("bloomrfd: recovering promotion epoch: %v", err)
 			}
 			follower.WithEpoch(recovered)
-			cfg.Promotion = &server.PromotionConfig{
-				Store:            store,
-				WALOptions:       walOpts,
-				SnapshotInterval: *snapshotInterval,
-				Follower:         follower,
-				RecoveredEpoch:   recovered,
-			}
+			cfg.Promotion = &server.PromotionConfig{WALOptions: walOpts, Follower: follower}
 			cfg.AutoPromote = *autoPromote
 		}
 
-	case *dataDir != "":
-		var err error
-		store, err = server.OpenStore(filepath.Join(*dataDir, "snapshots"))
-		if err != nil {
-			logger.fatalf("bloomrfd: %v", err)
-		}
-		wlog, err = wal.Open(wal.Options{
-			Dir:          filepath.Join(*dataDir, "wal"),
-			Policy:       syncPolicy,
-			SyncInterval: *walSyncInterval,
-			SegmentBytes: *walSegmentBytes,
-		})
+	case store != nil:
+		wlog, err := wal.Open(walOpts)
 		if err != nil {
 			logger.fatalf("bloomrfd: opening WAL: %v", err)
 		}
-		store.SetWALSource(wlog)
 		stats, err := server.Recover(store, wlog, reg, logger.logf)
 		if err != nil {
 			logger.fatalf("bloomrfd: recovery: %v", err)
 		}
-		// A primary that predates any failover serves at epoch 1; one that
-		// was promoted in a previous life resumes at its recovered epoch.
-		epoch := stats.Epoch
-		if epoch == 0 {
-			epoch = 1
-		}
-		cfg.Epoch = epoch
-		store.SetEpochSource(func() uint64 { return epoch })
+		// A primary promoted in a previous life resumes at its recovered
+		// epoch; 0 (no failover yet) serves at epoch 1.
+		cfg.Epoch = stats.Epoch
 		cfg.WAL = wlog
-		if *snapshotInterval > 0 {
-			snapshotter = server.NewSnapshotter(reg, store, *snapshotInterval).WithWAL(wlog).WithLogf(logger.logf)
-			snapshotter.Start()
-		}
 	}
 
 	api := server.NewConfiguredAPI(reg, store, cfg)
@@ -282,24 +255,9 @@ func main() {
 
 	logger.logf("bloomrfd: shutting down (draining for up to %s)", *shutdownTimeout)
 	drainServer(srv, *shutdownTimeout, logger.logf)
-	// api.Close tears down whatever a promotion built (snapshotter, final
-	// snapshot, promoted WAL); a never-promoted server only closes its
-	// signal channel. The boot-time snapshotter/store/WAL below belong to
-	// main and are torn down here.
+	// The API owns the durable primary, booted or promoted: Close stops its
+	// background work, takes the final snapshot and closes the WAL.
 	api.Close()
-	if snapshotter != nil {
-		snapshotter.Stop()
-	}
-	if store != nil && wlog != nil {
-		ok, failed := server.SnapshotAll(reg, store, logger.logf)
-		logger.logf("bloomrfd: final snapshot: %d ok, %d failed", ok, failed)
-		server.TruncateWAL(reg, wlog, logger.logf)
-	}
-	if wlog != nil {
-		if err := wlog.Close(); err != nil {
-			logger.logf("bloomrfd: closing WAL: %v", err)
-		}
-	}
 	logger.logf("bloomrfd: bye")
 }
 

@@ -50,29 +50,15 @@ import (
 // PromotionConfig is what a follower needs to become a primary on
 // POST /v1/replication/promote (Config.Promotion).
 type PromotionConfig struct {
-	// Store receives the promoted primary's snapshots (and, before that,
-	// supplies the recovered epoch floor via RecoverEpoch in bloomrfd).
-	Store *Store
 	// WALOptions configures the fresh log seeded at promotion. The
 	// directory may hold a previous incarnation's log; promotion archives
 	// it rather than appending to it — its positions belong to an older
 	// epoch.
 	WALOptions wal.Options
-	// SnapshotInterval starts a background Snapshotter on the new primary
-	// when > 0, mirroring bloomrfd's -snapshot-interval behaviour.
-	SnapshotInterval time.Duration
-	// Follower is the stream consumer to stop before taking over.
+	// Follower is the stream consumer to stop before taking over. Its
+	// epoch, seeded with RecoverEpoch at boot (WithEpoch), is the highest
+	// this node has seen; promotion takes the next one.
 	Follower *Follower
-	// RecoveredEpoch is the highest epoch found in the promotion target's
-	// existing snapshots/WAL at boot (RecoverEpoch); promotion must exceed
-	// it even if the stream never announced one.
-	RecoveredEpoch uint64
-}
-
-// promotedState is what promotion created and Close must tear down.
-type promotedState struct {
-	wlog        *wal.Log
-	snapshotter *Snapshotter
 }
 
 var (
@@ -98,18 +84,15 @@ func (a *API) role() string {
 }
 
 // epochValue resolves the epoch this server serves at: the explicit epoch
-// once set (boot recovery or promotion), the stream's epoch for a live
-// follower, 1 for a WAL-backed primary that predates any failover, and 0
-// for a server outside the replication topology entirely.
+// once set (boot recovery, attachWAL or promotion), the stream's epoch for a
+// live follower, and 0 for a server outside the replication topology
+// entirely.
 func (a *API) epochValue() uint64 {
 	if e := a.epoch.Load(); e != 0 {
 		return e
 	}
 	if a.following.Load() && a.cfg.Replication != nil {
 		return a.cfg.Replication().Epoch
-	}
-	if a.wal() != nil {
-		return 1
 	}
 	return 0
 }
@@ -196,6 +179,9 @@ func (a *API) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (a *API) promote(force bool) (epoch uint64, promoted bool, err error) {
 	a.promoteMu.Lock()
 	defer a.promoteMu.Unlock()
+	if a.closing() {
+		return 0, false, fmt.Errorf("%w: the server is shutting down", errNotPromotable)
+	}
 	if a.fenced.Load() {
 		return 0, false, fmt.Errorf("%w: this node was fenced by a higher epoch; restart it as a follower", errNotPromotable)
 	}
@@ -205,8 +191,13 @@ func (a *API) promote(force bool) (epoch uint64, promoted bool, err error) {
 		}
 		return 0, false, fmt.Errorf("%w: not a replication follower", errNotPromotable)
 	}
+	if a.wal() != nil {
+		// A previous attempt attached its log and then failed to seed the
+		// snapshots; a retry would archive the log it is writing to.
+		return 0, false, fmt.Errorf("%w: an earlier promotion failed midway; restart this node as a follower", errNotPromotable)
+	}
 	pc := a.cfg.Promotion
-	if pc == nil || pc.Store == nil || pc.Follower == nil {
+	if pc == nil || a.store == nil || pc.Follower == nil {
 		return 0, false, fmt.Errorf(
 			"%w: no promotion target configured (start the standby with -follow AND -data-dir)", errNotPromotable)
 	}
@@ -221,17 +212,8 @@ func (a *API) promote(force bool) (epoch uint64, promoted bool, err error) {
 	// no frame mutates the registry behind our back.
 	pc.Follower.Stop()
 
-	known := st.Epoch
-	if e := pc.Follower.Epoch(); e > known {
-		known = e
-	}
-	if pc.RecoveredEpoch > known {
-		known = pc.RecoveredEpoch
-	}
-	if known == 0 {
-		known = 1 // the primary predates epochs; it was implicitly at 1
-	}
-	newEpoch := known + 1
+	// A primary that predates epochs was implicitly at 1.
+	newEpoch := max(pc.Follower.Epoch(), 1) + 1
 
 	// The WAL directory may hold a previous incarnation's log (this node
 	// was a primary once). Its positions belong to an older epoch, so
@@ -266,47 +248,31 @@ func (a *API) promote(force bool) (epoch uint64, promoted bool, err error) {
 	}
 
 	a.epoch.Store(newEpoch)
-	pc.Store.SetWALSource(wlog)
-	pc.Store.SetEpochSource(func() uint64 { return a.epoch.Load() })
+	// From here the node owns the log as a booted primary would; it stays
+	// read-only until the seed below succeeds.
+	a.attachWAL(wlog)
 
 	// Reconcile the store with the live registry: prune directories of
 	// filters the stream deleted (their snapshots must not resurrect them)
 	// and seed a fresh snapshot of every live filter, so recovery of the
 	// new primary never needs the old epoch's log.
-	live := make(map[string]bool)
-	for _, name := range a.reg.Names() {
-		live[name] = true
-	}
-	if names, err := pc.Store.Names(); err == nil {
+	if names, err := a.store.Names(); err == nil {
 		for _, name := range names {
-			if !live[name] {
-				_ = pc.Store.Remove(name)
+			if _, err := a.reg.Get(name); err != nil {
+				_ = a.store.Remove(name)
 			}
 		}
 	}
-	for _, name := range a.reg.Names() {
-		f, err := a.reg.Get(name)
-		if err != nil {
-			continue // deleted between Names and Get
-		}
-		if _, err := snapshotRegistered(a.reg, pc.Store, name, f); err != nil && !errors.Is(err, ErrSuperseded) {
-			wlog.Close()
-			return 0, false, fmt.Errorf("seeding snapshot of %q: %w", name, err)
-		}
+	seeded, failed := a.snapshotAll()
+	if failed > 0 {
+		return 0, false, fmt.Errorf("seeding snapshots: %d filter(s) failed (see log)", failed)
 	}
 
-	var snapshotter *Snapshotter
-	if pc.SnapshotInterval > 0 {
-		snapshotter = NewSnapshotter(a.reg, pc.Store, pc.SnapshotInterval).WithWAL(wlog).WithLogf(a.cfg.Logf)
-		snapshotter.Start()
-	}
-	a.promoted = &promotedState{wlog: wlog, snapshotter: snapshotter}
-	a.wlog.Store(wlog)
 	a.following.Store(false)
 	a.readOnly.Store(false)
 	a.promotions.Add(1)
 	a.cfg.Logf("server: info=promoted epoch=%d filters=%d previous_primary=%q",
-		newEpoch, len(live), st.Primary)
+		newEpoch, seeded, st.Primary)
 	return newEpoch, true, nil
 }
 
@@ -351,29 +317,6 @@ func (a *API) autoPromoteLoop() {
 		}
 		return
 	}
-}
-
-// Close tears down what promotion built: stops the background snapshotter,
-// flushes a final snapshot of every filter, truncates the promoted WAL and
-// closes it. A server that never promoted only closes its signal channel
-// (the boot-time WAL belongs to main). Safe to call more than once.
-func (a *API) Close() {
-	a.closeOnce.Do(func() { close(a.closed) })
-	a.promoteMu.Lock()
-	p := a.promoted
-	a.promoted = nil
-	a.promoteMu.Unlock()
-	if p == nil {
-		return
-	}
-	if p.snapshotter != nil {
-		p.snapshotter.Stop()
-	}
-	if a.store != nil {
-		SnapshotAll(a.reg, a.store, a.cfg.Logf)
-		TruncateWAL(a.reg, p.wlog, a.cfg.Logf)
-	}
-	p.wlog.Close()
 }
 
 // RecoverEpoch scans a promotion target's existing state — snapshot

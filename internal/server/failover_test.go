@@ -56,7 +56,6 @@ func standbyT(t *testing.T, primaryURL string, o standbyOpts) *standby {
 		Replication:    fo.Status,
 		ReplicationLag: fo.LagSnapshot,
 		Promotion: &PromotionConfig{
-			Store:      store,
 			WALOptions: walOpts,
 			Follower:   fo,
 		},
@@ -344,6 +343,31 @@ func TestWALDegradationLatch(t *testing.T) {
 	_, metrics = doReq(t, api, "GET", "/metrics", "")
 	if !strings.Contains(metrics, "bloomrfd_readonly_mode 0") {
 		t.Fatalf("degradation gauge not cleared:\n%s", grepLines(metrics, "readonly"))
+	}
+
+	// A split's record takes the same append path: a failed one answers
+	// 503 + Retry-After and latches, and a later successful split, as the
+	// probe, clears the latch.
+	code, body = doReq(t, api, "POST", "/v1/filters", `{"name":"spans","expected_keys":10000,"shards":2,"partitioning":"range"}`)
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	faults.Arm("wal.append", faults.Action{Err: errors.New("injected disk failure"), Remaining: 1})
+	rw = httptest.NewRecorder()
+	api.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/filters/spans/split", strings.NewReader(`{"shard":0}`)))
+	if rw.Code != http.StatusServiceUnavailable || rw.Header().Get("Retry-After") == "" {
+		t.Fatalf("split during WAL failure: %d (Retry-After %q) %s", rw.Code, rw.Header().Get("Retry-After"), rw.Body)
+	}
+	if api.role() != "read-only" {
+		t.Fatalf("role after a failed split append = %q", api.role())
+	}
+	time.Sleep(1100 * time.Millisecond)
+	code, body = doReq(t, api, "POST", "/v1/filters/spans/split", `{"shard":0}`)
+	if code != http.StatusOK {
+		t.Fatalf("split after recovery: %d %s", code, body)
+	}
+	if api.role() != "primary" {
+		t.Fatalf("role after a successful split = %q", api.role())
 	}
 }
 

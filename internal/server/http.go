@@ -74,8 +74,14 @@ type Config struct {
 	// WAL, when non-nil, is the write-ahead log mutations are committed
 	// to: every mutating handler appends its effect after applying it and
 	// before acknowledging (see durability.go for why in that order). It
-	// also enables GET /v1/replication/stream.
+	// also enables GET /v1/replication/stream. The API owns it from then
+	// on: Close takes a final snapshot and closes it.
 	WAL *wal.Log
+
+	// SnapshotInterval, when > 0, snapshots every filter at this period
+	// while a WAL is attached, from boot (WAL) or from promotion
+	// (Promotion). bloomrfd wires its -snapshot-interval flag here.
+	SnapshotInterval time.Duration
 
 	// Replication, when non-nil, reports the follower's stream state for
 	// /metrics and GET /v1/replication/status.
@@ -116,8 +122,9 @@ type Config struct {
 	Epoch uint64
 
 	// Promotion, when non-nil, gives a follower what it needs to become a
-	// primary on POST /v1/replication/promote: a snapshot store and WAL
-	// options for the fresh log it seeds at epoch n+1 (failover.go).
+	// primary on POST /v1/replication/promote: WAL options for the fresh
+	// log it seeds at epoch n+1 (failover.go). The promoted primary
+	// snapshots into the API's store, which must be non-nil.
 	Promotion *PromotionConfig
 
 	// HeartbeatTimeout arms follower-side failure detection: when the
@@ -161,7 +168,7 @@ type API struct {
 	skewChecked map[string]int64 // last mutation-path skew evaluation, unix nanos
 
 	// Runtime role state (failover.go). The WAL pointer is atomic because
-	// promotion installs a fresh log while mutations may be in flight;
+	// promotion attaches a fresh log while requests may be in flight;
 	// cfg.WAL stays as the boot-time value for tests and the stream setup.
 	wlog      atomic.Pointer[wal.Log]
 	following atomic.Bool // consuming a primary's stream (clears on promote)
@@ -174,25 +181,23 @@ type API struct {
 	fencingRejections atomic.Uint64
 	promotions        atomic.Uint64
 
+	// Lifecycle (lifecycle.go). promoteMu serializes promotions against
+	// each other and against Close; lifeMu guards closed against spawn, and
+	// bg counts the goroutines Close waits for.
 	promoteMu sync.Mutex
-	promoted  *promotedState // non-nil once this process promoted itself
-
+	lifeMu    sync.Mutex
+	closed    chan struct{} // closed when Close begins
 	closeOnce sync.Once
-	closed    chan struct{}
+	bg        sync.WaitGroup
 }
 
 // NewAPI builds the HTTP API around a registry, without persistence: the
 // snapshot endpoint answers 400 and restarts lose all filters.
-func NewAPI(reg *Registry) *API { return NewPersistentAPI(reg, nil) }
+func NewAPI(reg *Registry) *API { return NewConfiguredAPI(reg, nil, Config{}) }
 
-// NewPersistentAPI builds the HTTP API with a snapshot store attached:
-// creates and deletes are mirrored to disk and the snapshot endpoint is
-// live. A nil store degrades to NewAPI behaviour.
-func NewPersistentAPI(reg *Registry, store *Store) *API {
-	return NewConfiguredAPI(reg, store, Config{})
-}
-
-// NewConfiguredAPI is NewPersistentAPI with explicit Config.
+// NewConfiguredAPI builds the HTTP API. A non-nil store mirrors creates and
+// deletes to disk and serves the snapshot endpoint; cfg.WAL makes the API
+// a durable primary (lifecycle.go).
 func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -204,12 +209,14 @@ func NewConfiguredAPI(reg *Registry, store *Store, cfg Config) *API {
 		skewAlerted: make(map[string]bool), skewChecked: make(map[string]int64),
 		closed: make(chan struct{}),
 	}
-	a.wlog.Store(cfg.WAL)
 	a.following.Store(cfg.Replication != nil)
 	a.readOnly.Store(cfg.ReadOnly)
 	a.epoch.Store(cfg.Epoch)
+	if cfg.WAL != nil {
+		a.attachWAL(cfg.WAL)
+	}
 	if cfg.AutoPromote && cfg.Promotion != nil && cfg.Replication != nil && cfg.HeartbeatTimeout > 0 {
-		go a.autoPromoteLoop()
+		a.spawn(a.autoPromoteLoop)
 	}
 	a.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -355,12 +362,10 @@ func (a *API) allowMutation(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// logWAL appends a record to the current WAL, if any, translating an append
-// failure into 503 + Retry-After and latching the degraded read-only mode
-// (failover.go). The in-memory mutation has already been applied by the
-// time this runs (apply-before-append, durability.go); a false return means
-// the client must not treat the mutation as durable — safe to retry, since
-// replay is idempotent.
+// logWAL is appendWAL for a handler: an encoding error answers 500, an
+// append failure 503 + Retry-After. The mutation is already applied
+// (apply-before-append, durability.go); a false return means the client
+// must not treat it as durable — safe to retry, since replay is idempotent.
 //
 // An armed tr has PhaseWALAppend open; logWAL closes it once the append is
 // acknowledged and moves the fsync share the WAL writer measured to
@@ -370,25 +375,42 @@ func (a *API) logWAL(w http.ResponseWriter, rec wal.Record, err error, tr *obs.T
 		writeErr(w, http.StatusInternalServerError, "encoding WAL record: %v", err)
 		return false
 	}
-	l := a.wal()
-	if l == nil {
-		tr.Leave()
-		return true
-	}
-	_, fsyncNs, err := l.AppendTraced(rec)
+	fsyncNs, err := a.appendWAL(rec)
 	// Close the open wal-append phase before shifting: Shift only moves
 	// already-attributed time.
 	tr.Leave()
 	tr.Shift(obs.PhaseWALAppend, obs.PhaseWALFsync, fsyncNs)
 	if err != nil {
-		a.noteWALAppendError(err)
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable,
-			"WAL append failed (mutation applied in memory but not durable; server is read-only until appends recover): %v", err)
+		writeWALAppendFailed(w, err)
 		return false
 	}
-	a.noteWALAppendOK()
 	return true
+}
+
+// errWALAppend marks a mutation whose WAL record could not be appended.
+var errWALAppend = errors.New("WAL append failed; the mutation is applied in memory but not durable")
+
+// appendWAL appends every mutation's record, a split's included, to the
+// current WAL, if any, and returns the append's fsync share. A failure
+// latches the degraded read-only mode (failover.go); a success clears it.
+func (a *API) appendWAL(rec wal.Record) (fsyncNs int64, err error) {
+	l := a.wal()
+	if l == nil {
+		return 0, nil
+	}
+	if _, fsyncNs, err = l.AppendTraced(rec); err != nil {
+		a.noteWALAppendError(err)
+		return fsyncNs, fmt.Errorf("%w: %w", errWALAppend, err)
+	}
+	a.noteWALAppendOK()
+	return fsyncNs, nil
+}
+
+// writeWALAppendFailed answers a mutation whose record appendWAL refused:
+// 503 + Retry-After, since replay is idempotent and a retry is safe.
+func writeWALAppendFailed(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	writeErr(w, http.StatusServiceUnavailable, "%v; server is read-only until appends recover", err)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -519,7 +541,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if a.store != nil {
 		// Persist the (empty) filter immediately so its existence survives
 		// a restart even before the first periodic or explicit snapshot.
-		if _, err := snapshotRegistered(a.reg, a.store, req.Name, f); err != nil && !errors.Is(err, ErrSuperseded) {
+		if _, err := a.snapshot(req.Name, f); err != nil && !errors.Is(err, ErrSuperseded) {
 			_ = a.reg.Delete(req.Name)
 			writeErr(w, http.StatusInternalServerError, "persisting new filter: %v", err)
 			return
@@ -545,7 +567,7 @@ func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "filter %q not found", name)
 		return
 	}
-	man, err := snapshotRegistered(a.reg, a.store, name, f)
+	man, err := a.snapshot(name, f)
 	if errors.Is(err, ErrSuperseded) {
 		writeErr(w, http.StatusNotFound, "filter %q deleted during snapshot", name)
 		return
@@ -720,6 +742,8 @@ func (a *API) handleSplit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, errSplitArg):
 		writeErr(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, errWALAppend):
+		writeWALAppendFailed(w, err)
 	case err != nil:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	default:
@@ -738,12 +762,12 @@ func (a *API) performSplit(name string, f *ShardedFilter, opt SplitOptions) (Spl
 		return res, err
 	}
 	if wlog != nil {
-		rec, encErr := encodeSplit(name, res.SplitKey)
-		if encErr == nil {
-			_, encErr = wlog.Append(rec)
+		rec, err := encodeSplit(name, res.SplitKey)
+		if err == nil {
+			_, err = a.appendWAL(rec)
 		}
-		if encErr != nil {
-			return res, fmt.Errorf("split applied in memory but not durable (WAL append failed): %w", encErr)
+		if err != nil {
+			return res, err
 		}
 	}
 	a.resetSkewEpisode(name)

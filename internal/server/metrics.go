@@ -411,7 +411,9 @@ func (a *API) noteMutationSkew(name string, f *ShardedFilter) {
 // The CAS admits one episode per filter at a time, so a flood of skewed
 // inserts triggers one loop, not one split attempt per request; the loop
 // runs off the request path because a split costs a shard marshal +
-// rebuild, which no insert should wait on.
+// rebuild, which no insert should wait on. The API owns the episode: Close
+// waits for it, and it stops splitting once Close has begun, so no split
+// record lands after the final snapshot.
 func (a *API) maybeAutoSplit(name string, f *ShardedFilter, skew float64) {
 	thr := a.cfg.AutoSplitSkewThreshold
 	if skew <= thr || f.NumShards() >= MaxShards {
@@ -420,10 +422,10 @@ func (a *API) maybeAutoSplit(name string, f *ShardedFilter, skew float64) {
 	if !f.autoSplitting.CompareAndSwap(false, true) {
 		return
 	}
-	go func() {
+	episode := func() {
 		defer f.autoSplitting.Store(false)
 		for i := 0; i < maxAutoSplitsPerTrigger; i++ {
-			if f.KeySkew() <= thr || f.NumShards() >= MaxShards {
+			if a.closing() || f.KeySkew() <= thr || f.NumShards() >= MaxShards {
 				return
 			}
 			tab := f.tab.Load()
@@ -446,7 +448,10 @@ func (a *API) maybeAutoSplit(name string, f *ShardedFilter, skew float64) {
 				return
 			}
 		}
-	}()
+	}
+	if !a.spawn(episode) {
+		f.autoSplitting.Store(false)
+	}
 }
 
 // noteSkew evaluates the partition-skew alert for one range-partitioned

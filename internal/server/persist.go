@@ -241,7 +241,7 @@ func (m *Manifest) totalBytes() int64 {
 // Store reads and writes filter snapshots under a root directory. All
 // methods are safe for concurrent use: writes to the same filter (Snapshot,
 // Remove) serialize on a per-name lock so racing snapshot triggers — the
-// HTTP endpoint, the background Snapshotter, the shutdown flush — cannot
+// HTTP endpoint, the periodic snapshot loop, the shutdown flush — cannot
 // collide on a sequence number.
 type Store struct {
 	root string

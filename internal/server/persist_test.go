@@ -466,7 +466,7 @@ func TestHTTPPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	ts := httptest.NewServer(NewPersistentAPI(reg, st))
+	ts := httptest.NewServer(NewConfiguredAPI(reg, st, Config{}))
 	defer ts.Close()
 	c := ts.Client()
 	u := func(p string) string { return ts.URL + p }

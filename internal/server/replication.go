@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -120,21 +121,32 @@ type frameReader struct {
 	buf []byte
 }
 
-func (fr *frameReader) next() (pos uint64, typ byte, payload []byte, err error) {
+// next reads one frame. A shard frame may carry up to shardLimit bytes,
+// its manifest entry's size, so a shard over wal.MaxRecordBytes, the bound
+// of every other frame, still bootstraps.
+func (fr *frameReader) next(shardLimit int64) (pos uint64, typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
 	pos = binary.LittleEndian.Uint64(fr.hdr[0:8])
 	crc := binary.LittleEndian.Uint32(fr.hdr[8:12])
-	n := int(binary.LittleEndian.Uint32(fr.hdr[12:16]))
+	n := int64(binary.LittleEndian.Uint32(fr.hdr[12:16]))
 	typ = fr.hdr[16]
-	if n > wal.MaxRecordBytes {
-		return 0, 0, nil, fmt.Errorf("server: replication frame of %d bytes exceeds limit", n)
+	limit := int64(wal.MaxRecordBytes)
+	if typ == frameSnapShard {
+		limit = shardLimit
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+	if n > limit {
+		return 0, 0, nil, fmt.Errorf("server: replication frame of %d bytes exceeds its %d-byte limit", n, limit)
 	}
-	payload = fr.buf[:n]
+	payload = fr.buf
+	if int64(cap(payload)) < n {
+		payload = make([]byte, n)
+		if n <= wal.MaxRecordBytes {
+			fr.buf = payload // a larger shard buffer is not kept past its frame
+		}
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, 0, nil, err
 	}
@@ -256,6 +268,11 @@ func (a *API) handleReplicationStream(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				for i, blob := range blobs {
+					if len(blob) > math.MaxUint32 {
+						a.cfg.Logf("server: replication: err=%q filter=%q shard=%d bytes=%d",
+							"shard blob exceeds the 32-bit frame length; ending stream", name, i, len(blob))
+						return
+					}
 					if err := fw.write(frameSnapShard, uint64(i), blob); err != nil {
 						return
 					}
@@ -700,7 +717,11 @@ func (fo *Follower) stream(ctx context.Context) error {
 		stats   ReplayStats
 	)
 	for {
-		pos, typ, payload, err := fr.next()
+		var shardLimit int64 // the manifest's size for the shard frame due next
+		if cur != nil && len(cur.shards) < len(cur.man.Shards) {
+			shardLimit = cur.man.Shards[len(cur.shards)].Bytes
+		}
+		pos, typ, payload, err := fr.next(shardLimit)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // waitCaughtUp polls until the follower has applied the primary's WAL
@@ -184,10 +186,9 @@ func TestFollowerBootstrapAfterTruncation(t *testing.T) {
 
 	// Snapshot everything and drop the covered log prefix. The WAL uses
 	// 16 KiB segments in tests, so 20k inserts guarantee rotation.
-	if ok, failed := SnapshotAll(reg, api.store, nil); ok != 1 || failed != 0 {
+	if ok, failed := api.snapshotAll(); ok != 1 || failed != 0 {
 		t.Fatalf("snapshot pass: ok=%d failed=%d", ok, failed)
 	}
-	TruncateWAL(reg, api.cfg.WAL, nil)
 	if api.cfg.WAL.OldestPos() == 0 {
 		t.Fatal("truncation did not advance; bootstrap branch untested")
 	}
@@ -432,4 +433,46 @@ func TestReplicationLagHistogramSeesBetweenScrapeSpikes(t *testing.T) {
 		t.Fatalf("lag histogram max = %d bytes, want >= 16384 (spike lost)", maxLag)
 	}
 	cancel()
+}
+
+// TestFollowerBootstrapsShardOverRecordLimit pins the shard-frame bound: a
+// single shard of 2^25 keys at 16 bits/key snapshots to a blob larger than
+// the 64 MiB WAL record limit, and a fresh follower must still bootstrap it
+// (its frame is bounded by the manifest's size for that shard) and then
+// tail the log behind it.
+func TestFollowerBootstrapsShardOverRecordLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves a 64 MiB shard through snapshot, stream and restore")
+	}
+	srv, api, reg := primaryT(t, t.TempDir())
+	resp, err := http.Post(srv.URL+"/v1/filters", "application/json",
+		strings.NewReader(`{"name":"big","expected_keys":33554432,"bits_per_key":16,"shards":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	primary, _ := reg.Get("big")
+	if snap := primary.LastSnapshot(); snap == nil || snap.Bytes <= wal.MaxRecordBytes {
+		t.Fatalf("test needs a shard over %d bytes, got snapshot %+v", wal.MaxRecordBytes, snap)
+	}
+	keys := []uint64{7, 4711, 1 << 40, 1<<63 + 5}
+	insertHTTP(t, srv, "big", keys)
+
+	freg := NewRegistry()
+	fo, err := NewFollower(srv.URL, freg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go fo.Run(ctx)
+	waitCaughtUp(t, fo, api.cfg.WAL.End())
+	standby, err := freg.Get("big")
+	if err != nil {
+		t.Fatalf("follower has no big filter after bootstrap: %v", err)
+	}
+	assertIdenticalAnswers(t, primary, standby, keys, 25)
 }

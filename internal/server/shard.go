@@ -1,7 +1,7 @@
 // Package server implements the bloomrfd serving layer: a registry of named,
 // sharded bloomRF filters behind an HTTP JSON API (create / insert / query /
 // query-range / stats / snapshot, with batch variants of each), durable
-// snapshots on disk (persist.go, snapshot.go) and a Prometheus-style
+// snapshots on disk (persist.go, lifecycle.go) and a Prometheus-style
 // /metrics endpoint (metrics.go).
 //
 // The package splits into three layers:

@@ -2,16 +2,18 @@ package server
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestSnapshotterPeriodic runs the background snapshotter at a short
-// interval and checks every registered filter gains durable snapshots that
-// keep advancing, then that Stop halts the loop.
+// TestSnapshotterPeriodic runs the API's background snapshot loop at a
+// short Config.SnapshotInterval and checks every registered filter gains
+// durable snapshots that keep advancing, then that Close halts the loop.
 func TestSnapshotterPeriodic(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenStore(filepath.Join(dir, "snapshots"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +23,10 @@ func TestSnapshotterPeriodic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := NewSnapshotter(reg, st, 5*time.Millisecond)
-	snap.Start()
+	api := NewConfiguredAPI(reg, st, Config{
+		WAL:              openWALT(t, filepath.Join(dir, "wal")),
+		SnapshotInterval: 5 * time.Millisecond,
+	})
 	deadline := time.After(5 * time.Second)
 	for {
 		fa, _ := reg.Get("a")
@@ -32,25 +36,25 @@ func TestSnapshotterPeriodic(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatal("snapshotter produced no advancing snapshots within 5s")
+			t.Fatal("snapshot loop produced no advancing snapshots within 5s")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	snap.Stop()
+	api.Close()
 	fa, _ := reg.Get("a")
 	seqAfterStop := fa.LastSnapshot().Seq
 	time.Sleep(30 * time.Millisecond)
 	if got := fa.LastSnapshot().Seq; got != seqAfterStop {
-		t.Fatalf("snapshotter still running after Stop: seq %d -> %d", seqAfterStop, got)
+		t.Fatalf("snapshot loop still running after Close: seq %d -> %d", seqAfterStop, got)
 	}
-	// Stop twice is fine.
-	snap.Stop()
+	// Close twice is fine.
+	api.Close()
 }
 
 // TestSnapshotInsertQueryRace is the crash-consistency hammer: one filter
 // under concurrent single/batch inserts, batch point queries, batch range
 // queries and repeated snapshots (as the HTTP endpoint and the periodic
-// snapshotter would issue). Under -race this validates the per-shard
+// snapshot loop would issue). Under -race this validates the per-shard
 // lock discipline; afterwards, a restore of the final snapshot must
 // contain every key whose insert completed before that snapshot started.
 func TestSnapshotInsertQueryRace(t *testing.T) {

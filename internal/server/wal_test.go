@@ -36,7 +36,6 @@ func walAPI(t *testing.T, dir string) (*API, *Registry, *Store, *wal.Log) {
 		t.Fatal(err)
 	}
 	wlog := openWALT(t, filepath.Join(dir, "wal"))
-	store.SetWALSource(wlog)
 	reg := NewRegistry()
 	api := NewConfiguredAPI(reg, store, Config{WAL: wlog})
 	return api, reg, store, wlog
@@ -293,7 +292,7 @@ func TestReplayDeleteAndRecreate(t *testing.T) {
 // shortened log still answers identically.
 func TestWALTruncationAfterSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	api, reg, store, wlog := walAPI(t, dir)
+	api, reg, _, wlog := walAPI(t, dir)
 	if code, body := doReq(t, api, "POST", "/v1/filters",
 		`{"name":"users","expected_keys":200000,"shards":2}`); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, body)
@@ -315,13 +314,12 @@ func TestWALTruncationAfterSnapshots(t *testing.T) {
 	if before.Segments < 2 {
 		t.Fatalf("test needs rotation to mean anything: %+v", before)
 	}
-	if ok, failed := SnapshotAll(reg, store, nil); ok != 1 || failed != 0 {
+	if ok, failed := api.snapshotAll(); ok != 1 || failed != 0 {
 		t.Fatalf("snapshot pass: ok=%d failed=%d", ok, failed)
 	}
 	if pos := TruncatableBefore(reg); pos == 0 {
 		t.Fatal("nothing truncatable after a full snapshot pass")
 	}
-	TruncateWAL(reg, wlog, nil)
 	after := wlog.Stats()
 	if after.Oldest <= before.Oldest {
 		t.Fatalf("truncation did not advance the oldest position: %+v -> %+v", before, after)
