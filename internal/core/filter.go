@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"unique"
 
 	"repro/internal/hashutil"
 )
@@ -46,10 +47,12 @@ type Filter struct {
 	// ℓ_k when the exact layer is present. planKey and maxScan hold
 	// everything of the layout a plan depends on, so filters with equal
 	// ones share plans; a layout too large for the key has planKeyOK false
-	// and shares with none.
+	// and shares with none. Of the filters that share plans, those with
+	// equal geo share word indexes too (geometryOf).
 	planLevels []uint
 	planKey    [16]byte
 	planKeyOK  bool
+	geo        unique.Handle[geometry]
 }
 
 // New creates a filter from a validated Config.
@@ -106,8 +109,14 @@ func New(cfg Config) (*Filter, error) {
 		f.planLevels = append(f.levels[:k:k], lvl)
 	}
 	f.planKey, f.planKeyOK = planKeyOf(f)
+	if f.planKeyOK {
+		f.geo = unique.Make(geometryOf(f))
+	}
 	return f, nil
 }
+
+// planKeyLayers is the most layers a plan key holds.
+const planKeyLayers = 14
 
 // planKeyOf packs the layout a range plan depends on, apart from the scan
 // bound, one byte per field: the domain; the layer count with the exact
@@ -116,8 +125,8 @@ func New(cfg Config) (*Filter, error) {
 // layer and replica indices. It reports false for a layout that does not
 // fit: more than 14 layers, or more than 4 replicas on a layer.
 func planKeyOf(f *Filter) (key [16]byte, ok bool) {
-	const head = 2
-	if f.k > len(key)-head {
+	const head = len(key) - planKeyLayers
+	if f.k > planKeyLayers {
 		return key, false
 	}
 	key[0] = byte(f.domain)
@@ -135,6 +144,25 @@ func planKeyOf(f *Filter) (key [16]byte, ok bool) {
 		key[head+i] = byte(f.wshift[i]) | byte(f.replicas[i]-1)<<6
 	}
 	return key, true
+}
+
+// geometry is where a filter's layers keep their words: each layer's
+// segment and word count. Two filters that share plans and have equal
+// geometries map every raw hash to the same word index (wordAt), so one
+// reduction serves both; equal SegmentOf and SegBits give equal
+// geometries.
+type geometry struct {
+	seg    [planKeyLayers]uint8
+	nwords [planKeyLayers]uint64
+}
+
+// geometryOf returns f's geometry; f has a plan key, so k ≤ planKeyLayers.
+func geometryOf(f *Filter) geometry {
+	var g geometry
+	for i := 0; i < f.k; i++ {
+		g.seg[i], g.nwords[i] = uint8(f.segID[i]), f.nwords[i]
+	}
+	return g
 }
 
 // NewBasic creates the tuning-free basic bloomRF of §3–5 sized for n keys
@@ -156,11 +184,10 @@ func (f *Filter) hash(layer, replica int, g uint64) uint64 {
 	return hashutil.Hash64(g, f.seeds[layer][replica])
 }
 
-// wordAt locates the filter word a layer's raw hash h selects: the
-// containing segment and the bit position of the word's first bit.
-func (f *Filter) wordAt(layer int, h uint64) (seg *bitArray, bitPos uint64) {
-	w := f.mods[layer].mod(h)
-	return &f.segs[f.segID[layer]], w << f.wshift[layer]
+// wordAt locates the filter word a layer's raw hash h selects: the index
+// of the containing segment and the bit position of the word's first bit.
+func (f *Filter) wordAt(layer int, h uint64) (seg int, bitPos uint64) {
+	return f.segID[layer], f.mods[layer].mod(h) << f.wshift[layer]
 }
 
 // wordPos locates the filter word holding word-group g of a layer/replica:
@@ -169,7 +196,8 @@ func (f *Filter) wordAt(layer int, h uint64) (seg *bitArray, bitPos uint64) {
 // (batch.go) — bit-identical to the hardware division it replaces, so
 // single-key and batch paths always agree on probe positions.
 func (f *Filter) wordPos(layer, replica int, g uint64) (seg *bitArray, bitPos uint64) {
-	return f.wordAt(layer, f.hash(layer, replica, g))
+	s, pos := f.wordAt(layer, f.hash(layer, replica, g))
+	return &f.segs[s], pos
 }
 
 // reversedPrefix implements the §3.2 degenerate-distribution mitigation:

@@ -212,8 +212,10 @@ const maxEach = 64
 // bound, with any segment sizes — are probed from one plan, layer-major:
 // each layer's checks are worked out once for all of them, each covering
 // and each run's word group is hashed once per replica, and their word
-// loads issue back to back. The others answer alone. Zero allocations;
-// safe for concurrent use with Insert.
+// loads issue back to back. Those that also have fs[0]'s geometry (each
+// layer's segment, and the segment sizes) share the hash's reduction to a
+// word index too, so that each costs one word load per check. The others
+// answer alone. Zero allocations; safe for concurrent use with Insert.
 func MayContainRangeEach(lo, hi uint64, fs []*Filter, out []bool) {
 	if len(fs) > maxEach || len(out) != len(fs) {
 		panic("core: MayContainRangeEach needs len(out) == len(fs) <= 64")
@@ -221,39 +223,50 @@ func MayContainRangeEach(lo, hi uint64, fs []*Filter, out []bool) {
 	if len(fs) == 0 {
 		return
 	}
-	f := fs[0] // the layout: levels, word shifts, replicas, hashes
-	var shared uint64
+	f := fs[0] // the layout: levels, word shifts, replicas, hashes; the geometry
+	e := eachSet{fs: fs}
 	for j, g := range fs {
 		if g.sharesPlan(f) {
 			out[j] = false
-			shared |= 1 << j
+			e.shared |= 1 << j
+			if g.geo == f.geo {
+				e.sameGeo |= 1 << j
+			}
 		} else {
 			out[j] = g.MayContainRange(lo, hi)
 		}
 	}
 	if lo, hi, ok := f.clampRange(lo, hi); ok {
-		f.execEach(newRangePlan(lo, hi, f.planLevels), fs, out, shared)
+		f.execEach(newRangePlan(lo, hi, f.planLevels), &e, out)
 	}
 	runtime.KeepAlive(fs) // every filter, and with it its words' owner
 }
 
-// execEach runs a plan made for f's layout against the filters of fs in
-// the set shared (bit j for fs[j]), which must share it, and sets out[j]
-// for those that test positive.
-func (f *Filter) execEach(p rangePlan, fs []*Filter, out []bool, shared uint64) {
+// eachSet is the filters a plan made for fs[0]'s layout runs against: bit
+// j of shared for each fs[j] that shares the plan, and of sameGeo for each
+// of those that also shares fs[0]'s word indexes.
+type eachSet struct {
+	fs              []*Filter
+	shared, sameGeo uint64
+}
+
+// execEach runs a plan made for f's layout, f = e.fs[0], against the
+// filters of e.shared and sets out[j] for those that test positive.
+func (f *Filter) execEach(p rangePlan, e *eachSet, out []bool) {
 	setOut := func(hit uint64) {
 		for ; hit != 0; hit &= hit - 1 {
 			out[bits.TrailingZeros64(hit)] = true
 		}
 	}
+	shared := e.shared
 	i := p.top()
 	for ; i >= 0 && p.single(i); i-- {
 		pre := rsh(p.lo, p.levels[i])
 		if p.dyadic(i) {
-			setOut(f.runEach(i, pre, pre, fs, shared))
+			setOut(f.runEach(i, pre, pre, e, shared))
 			return
 		}
-		if shared = f.coveringEach(i, pre, fs, shared); shared == 0 {
+		if shared = f.coveringEach(i, pre, e, shared); shared == 0 {
 			return
 		}
 	}
@@ -279,10 +292,10 @@ func (f *Filter) execEach(p rangePlan, fs []*Filter, out []bool, shared uint64) 
 				continue
 			}
 			if c.give != 0 {
-				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, fs, cand)
+				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, e, cand)
 				continue
 			}
-			hit := f.runEach(i, c.lo, c.hi, fs, cand)
+			hit := f.runEach(i, c.lo, c.hi, e, cand)
 			setOut(hit)
 			for x := range live {
 				live[x] &^= hit
@@ -293,10 +306,12 @@ func (f *Filter) execEach(p rangePlan, fs []*Filter, out []bool, shared uint64) 
 	}
 }
 
-// coveringEach is testCovering on layer i for every filter in fs whose bit
+// coveringEach is testCovering on layer i for every filter in e whose bit
 // is set in cand; it returns the mask of those whose covering bit is set.
-// The word group is hashed once per replica for all of them.
-func (f *Filter) coveringEach(i int, prefix uint64, fs []*Filter, cand uint64) uint64 {
+// The word group is hashed once per replica for all of them, and the hash
+// reduced once for those of f's geometry.
+func (f *Filter) coveringEach(i int, prefix uint64, e *eachSet, cand uint64) uint64 {
+	fs := e.fs
 	if i == f.k {
 		// Branch-free, so that the filters' word loads overlap.
 		for m := cand; m != 0; m &= m - 1 {
@@ -314,20 +329,26 @@ func (f *Filter) coveringEach(i int, prefix uint64, fs []*Filter, cand uint64) u
 	}
 	for r := 0; r < f.replicas[i] && cand != 0; r++ {
 		h := f.hash(i, r, g)
+		s0, base0 := f.wordAt(i, h)
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			seg, base := fs[j].wordAt(i, h)
+			s, base := s0, base0
+			if e.sameGeo&(1<<j) == 0 {
+				s, base = fs[j].wordAt(i, h)
+			}
 			pos := base + off
-			cand &^= (^seg.loadWord(pos) >> (pos & 63) & 1) << j
+			cand &^= (^fs[j].segs[s].loadWord(pos) >> (pos & 63) & 1) << j
 		}
 	}
 	return cand
 }
 
-// runEach is testRangeLayer on layer i for every filter in fs whose bit is
+// runEach is testRangeLayer on layer i for every filter in e whose bit is
 // set in cand; it returns the mask of those with a set bit in the run. Each
-// word group is hashed once per replica for all of them.
-func (f *Filter) runEach(i int, pa, pb uint64, fs []*Filter, cand uint64) uint64 {
+// word group is hashed once per replica for all of them, and the hash
+// reduced once for those of f's geometry.
+func (f *Filter) runEach(i int, pa, pb uint64, e *eachSet, cand uint64) uint64 {
+	fs := e.fs
 	if i == f.k {
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
@@ -352,10 +373,14 @@ func (f *Filter) runEach(i int, pa, pb uint64, fs []*Filter, cand uint64) uint64
 		}
 		for r := 0; r < f.replicas[i]; r++ {
 			h := f.hash(i, r, g)
+			s0, base0 := f.wordAt(i, h)
 			for m := cand; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
-				seg, base := fs[j].wordAt(i, h)
-				acc[j] &= seg.loadSub(base, uint(wbits))
+				s, base := s0, base0
+				if e.sameGeo&(1<<j) == 0 {
+					s, base = fs[j].wordAt(i, h)
+				}
+				acc[j] &= fs[j].segs[s].loadSub(base, uint(wbits))
 			}
 		}
 		for m := cand; m != 0; m &= m - 1 {

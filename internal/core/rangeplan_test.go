@@ -171,7 +171,10 @@ func (f *Filter) levelAtRef(i int) uint {
 }
 
 // planFamily is a set of filters that share one layout but differ in
-// segment sizes and contents, plus one filter of another layout.
+// segment sizes and contents, plus one filter of another layout. same[0]
+// and same[2] have one geometry, same[1] doubles its segment sizes, and
+// in the multi-segment family same[3] keeps the segment sizes but moves
+// the layers to other segments.
 type planFamily struct {
 	same    []*Filter
 	foreign *Filter
@@ -181,6 +184,9 @@ type planFamily struct {
 // covers — basic, multi-segment with replicas, exact layer, permuted
 // words, tiny words — and a MaxScanGroups cap, two tuned layouts one delta
 // apart, a full 64-bit domain and a layout too large to share plans.
+// The multi-segment family also holds a filter with the same plan key and
+// segment sizes whose layers sit in other segments: it shares the plan
+// but not the word indexes.
 func planFamilies(tb testing.TB) []planFamily {
 	tb.Helper()
 	configs := []Config{
@@ -210,6 +216,8 @@ func planFamilies(tb testing.TB) []planFamily {
 		}
 		return f
 	}
+	regrouped := configs[1]
+	regrouped.SegmentOf = []int{1, 0, 1, 0}
 	var fams []planFamily
 	for i, cfg := range configs {
 		bigger := cfg
@@ -217,10 +225,14 @@ func planFamilies(tb testing.TB) []planFamily {
 		for s, b := range cfg.SegBits {
 			bigger.SegBits[s] = 2 * b
 		}
-		fams = append(fams, planFamily{
+		fam := planFamily{
 			same:    []*Filter{build(cfg, 200), build(bigger, 300), build(cfg, 50)},
 			foreign: build(configs[(i+1)%len(configs)], 200),
-		})
+		}
+		if i == 1 {
+			fam.same = append(fam.same, build(regrouped, 200))
+		}
+		fams = append(fams, fam)
 	}
 	return fams
 }
@@ -276,6 +288,9 @@ func FuzzRangePlan(f *testing.F) {
 		{0, 45, 60}, {0, 60, 45}, {1, 0, ^uint64(0)}, {2, 1 << 14, 1<<15 - 1},
 		{3, 12345, 54321}, {4, 7, 7}, {5, 0, 1 << 23}, {6, 1 << 40, 1<<40 + 1<<20},
 		{2, 9 << 14, 10<<14 - 1}, {0, 1 << 30, 1 << 31}, {5, 100, 5000},
+		// Family 1's regrouped filter answers false here when it reads
+		// filter 0's word indexes instead of its own.
+		{1, 5326028, 6749190},
 	} {
 		f.Add(uint8(s[0]), s[1], s[2])
 	}
@@ -298,6 +313,11 @@ func TestRangePlanMatchesReference(t *testing.T) {
 		}
 		if fam.foreign.sharesPlan(fam.same[0]) {
 			t.Fatalf("family %d: the foreign layout shares the plan", i)
+		}
+		for j, g := range fam.same[1:] {
+			if sameGeo := g.geo == fam.same[0].geo; i < len(fams)-1 && sameGeo != (j == 1) {
+				t.Fatalf("family %d: filter %d shares filter 0's geometry: %v", i, j+1, sameGeo)
+			}
 		}
 		d := uint(fam.same[0].domain)
 		for trial := 0; trial < 3000; trial++ {

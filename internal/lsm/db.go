@@ -305,18 +305,17 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 		survivors += bits.OnesCount64(m)
 	}
 	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), probeTime)
-	if survivors == 0 {
-		return liveKVs(memRecs), nil
-	}
 
 	// Data pass: per-source sorted streams, memtable (newest) then the
-	// surviving tables newest-first. Priority = source order.
-	sources := make([][]record, 0, 1+survivors)
-	sources = append(sources, memRecs)
-	for i := len(tables) - 1; i >= 0; i-- {
+	// surviving tables newest-first that yield a record. Priority = source
+	// order. A scan that no table yields to, as after a false positive,
+	// builds neither the sources nor the merge.
+	var sources [][]record
+	for i := len(tables) - 1; i >= 0 && survivors > 0; i-- {
 		if pass[i/64]&(1<<(i%64)) == 0 {
 			continue
 		}
+		survivors--
 		var recs []record
 		if err := tables[i].scan(lo, hi, func(r record) bool {
 			recs = append(recs, r)
@@ -324,7 +323,16 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 		}); err != nil {
 			return nil, err
 		}
+		if len(recs) == 0 {
+			continue
+		}
+		if sources == nil {
+			sources = append(make([][]record, 0, 2+survivors), memRecs)
+		}
 		sources = append(sources, recs)
+	}
+	if sources == nil {
+		return liveKVs(memRecs), nil
 	}
 	return mergeNewestWins(sources), nil
 }

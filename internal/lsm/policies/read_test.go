@@ -9,9 +9,11 @@ import (
 	"repro/internal/lsm/policies"
 )
 
-// TestLSMReadZeroAlloc pins the warm empty read path of the paper's LSM
-// scenario at zero allocations: a Get and a Scan whose every filter
-// answers no, over 25 tables with bloomRF filter blocks.
+// TestLSMReadZeroAlloc pins the warm read path of the paper's LSM
+// scenario over 25 tables with bloomRF filter blocks: a Get and a Scan
+// whose every filter answers no allocate nothing, and neither do a Get
+// and an empty Scan that a false positive sends to a data block; a Get
+// that finds its key allocates its value alone.
 func TestLSMReadZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on the measured path")
@@ -19,9 +21,11 @@ func TestLSMReadZeroAlloc(t *testing.T) {
 	const tables, perTable, span = 25, 2000, 1 << 10
 	db := openTestDB(t, &policies.BloomRF{BitsPerKey: 16, MaxRange: span})
 	rng := rand.New(rand.NewSource(21))
+	var stored uint64
 	for i := 0; i < tables; i++ {
 		for j := 0; j < perTable; j++ {
-			if err := db.Put(rng.Uint64(), []byte("v")); err != nil {
+			stored = rng.Uint64()
+			if err := db.Put(stored, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -32,18 +36,18 @@ func TestLSMReadZeroAlloc(t *testing.T) {
 	if n := db.NumTables(); n != tables {
 		t.Fatalf("%d tables, want %d", n, tables)
 	}
-	// emptyOp finds an argument for which op reads no block: every filter
-	// answered no.
-	emptyOp := func(op func(x uint64)) uint64 {
-		for i := 0; i < 1000; i++ {
+	// emptyOp finds an argument for which op finds nothing and reads a
+	// block (a false positive) or none (every filter answered no).
+	emptyOp := func(op func(x uint64), reads bool) uint64 {
+		for i := 0; i < 100000; i++ {
 			x := rng.Uint64()
 			before := db.Stats().BlockReads.Load()
 			op(x)
-			if db.Stats().BlockReads.Load() == before {
+			if read := db.Stats().BlockReads.Load() != before; read == reads {
 				return x
 			}
 		}
-		t.Fatal("no op without a block read in 1000 tries")
+		t.Fatalf("no op with block reads %v in 100000 tries", reads)
 		return 0
 	}
 	get := func(x uint64) {
@@ -57,13 +61,25 @@ func TestLSMReadZeroAlloc(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name string
-		op   func(x uint64)
-	}{{"Get", get}, {"Scan", scan}} {
-		x := emptyOp(c.op)
+		name  string
+		op    func(x uint64)
+		reads bool
+	}{
+		{"empty Get", get, false}, {"empty Scan", scan, false},
+		{"false-positive Get", get, true}, {"false-positive Scan", scan, true},
+	} {
+		x := emptyOp(c.op, c.reads)
 		if a := testing.AllocsPerRun(200, func() { c.op(x) }); a != 0 {
-			t.Errorf("warm empty %s allocates %.1f times per op, want 0", c.name, a)
+			t.Errorf("warm %s allocates %.1f times per op, want 0", c.name, a)
 		}
+	}
+	found := func() {
+		if v, found, err := db.Get(stored); err != nil || !found || string(v) != "v" {
+			t.Fatalf("Get(%#x) = %q, %v, %v on a stored key", stored, v, found, err)
+		}
+	}
+	if a := testing.AllocsPerRun(200, found); a > 1 {
+		t.Errorf("warm Get of a stored key allocates %.1f times per op, want at most 1 (its value)", a)
 	}
 }
 

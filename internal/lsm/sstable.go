@@ -1,11 +1,13 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/hashutil"
@@ -367,11 +369,22 @@ func (t *Table) Entries() uint64 { return t.entries }
 // Path returns the backing file path.
 func (t *Table) Path() string { return t.path }
 
-// readBlock fetches and parses data block i.
-func (t *Table) readBlock(i int) ([]record, error) {
+// blockPool holds data-block buffers: a read reuses one instead of
+// allocating a block, and hands back only the values it returns, copied.
+var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBlock fetches data block i into a pooled buffer, which the caller
+// returns with blockPool.Put once it has copied what it keeps.
+func (t *Table) readBlock(i int) (*[]byte, error) {
 	e := t.index[i]
-	buf := make([]byte, e.length)
+	bp := blockPool.Get().(*[]byte)
+	if uint64(cap(*bp)) < e.length {
+		*bp = make([]byte, e.length)
+	}
+	buf := (*bp)[:e.length]
+	*bp = buf
 	if _, err := t.f.ReadAt(buf, int64(e.off)); err != nil {
+		blockPool.Put(bp)
 		return nil, err
 	}
 	if t.stats != nil {
@@ -379,52 +392,65 @@ func (t *Table) readBlock(i int) ([]record, error) {
 		t.stats.BytesRead.Add(e.length)
 		t.stats.IOWaitNanos.Add(uint64(t.simLatency))
 	}
-	if len(buf) < 4 {
-		return nil, ErrCorruptTable
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	out := make([]record, 0, n)
-	off := 4
-	for j := uint32(0); j < n; j++ {
-		if off+13 > len(buf) {
-			return nil, ErrCorruptTable
-		}
-		key := binary.LittleEndian.Uint64(buf[off:])
-		flags := buf[off+8]
-		vlen := int(binary.LittleEndian.Uint32(buf[off+9:]))
-		off += 13
-		if off+vlen > len(buf) {
-			return nil, ErrCorruptTable
-		}
-		out = append(out, record{key: key, value: buf[off : off+vlen : off+vlen], tomb: flags&flagTombstone != 0})
-		off += vlen
-	}
-	return out, nil
+	return bp, nil
 }
 
-// getInBlock looks key up in data block i, the one findBlock chose.
+// blockRecords returns the record count of a data block and the offset of
+// its first record.
+func blockRecords(buf []byte) (n uint32, off int, err error) {
+	if len(buf) < 4 {
+		return 0, 0, ErrCorruptTable
+	}
+	return binary.LittleEndian.Uint32(buf), 4, nil
+}
+
+// recordAt parses the record at off of a data block: its key, tombstone
+// flag and value buf[v:next], where next is the offset of the record after
+// it. It reports false for a record whose header or value runs past the
+// block end, as a record count past the end also yields.
+func recordAt(buf []byte, off int) (key uint64, tomb bool, v, next int, ok bool) {
+	if off+13 > len(buf) {
+		return 0, false, 0, 0, false
+	}
+	v = off + 13
+	next = v + int(binary.LittleEndian.Uint32(buf[off+9:]))
+	return binary.LittleEndian.Uint64(buf[off:]), buf[off+8]&flagTombstone != 0, v, next, next <= len(buf)
+}
+
+// getInBlock looks key up in data block i, the one findBlock chose. It
+// walks the whole block, so that damage after the key fails the read as
+// well, and copies only the value it returns.
 func (t *Table) getInBlock(i int, key uint64) (value []byte, tomb, found bool, err error) {
-	recs, err := t.readBlock(i)
+	bp, err := t.readBlock(i)
 	if err != nil {
 		return nil, false, false, err
 	}
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if recs[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	defer blockPool.Put(bp)
+	buf := *bp
+	n, off, err := blockRecords(buf)
+	if err != nil {
+		return nil, false, false, err
+	}
+	var v, end int
+	for ; n > 0; n-- {
+		k, tmb, vOff, next, ok := recordAt(buf, off)
+		if !ok {
+			return nil, false, false, ErrCorruptTable
 		}
+		if !found && k == key {
+			found, tomb, v, end = true, tmb, vOff, next
+		}
+		off = next
 	}
-	if lo < len(recs) && recs[lo].key == key {
-		return recs[lo].value, recs[lo].tomb, true, nil
+	if !found || tomb {
+		return nil, tomb, found, nil
 	}
-	return nil, false, false, nil
+	return bytes.Clone(buf[v:end]), false, true, nil
 }
 
-// findBlock returns the index of the block that may hold key, or -1.
-func (t *Table) findBlock(key uint64) int {
+// firstBlock returns the index of the first block whose last key is at
+// least key, len(t.index) when there is none.
+func (t *Table) firstBlock(key uint64) int {
 	lo, hi := 0, len(t.index)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -434,33 +460,60 @@ func (t *Table) findBlock(key uint64) int {
 			hi = mid
 		}
 	}
-	if lo < len(t.index) && t.index[lo].firstKey <= key {
-		return lo
+	return lo
+}
+
+// findBlock returns the index of the block that may hold key, or -1.
+func (t *Table) findBlock(key uint64) int {
+	if i := t.firstBlock(key); i < len(t.index) && t.index[i].firstKey <= key {
+		return i
 	}
 	return -1
 }
 
 // scan invokes fn for records with lo ≤ key ≤ hi in key order; fn
-// returns false to stop. It reads blocks without consulting the filter:
-// DB.Scan probes every table's filter before it reads any block.
+// returns false to stop. Each record fn sees owns a copy of its value. It
+// walks every block it reads to the end, as getInBlock does, and reads
+// blocks without consulting the filter: DB.Scan probes every table's
+// filter before it reads any block.
 func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
-	i, n := 0, len(t.index)
-	for i < n && t.index[i].lastKey < lo {
-		i++
-	}
-	for ; i < n && t.index[i].firstKey <= hi; i++ {
-		recs, err := t.readBlock(i)
+	more := true
+	for i := t.firstBlock(lo); more && i < len(t.index) && t.index[i].firstKey <= hi; i++ {
+		bp, err := t.readBlock(i)
 		if err != nil {
 			return err
 		}
-		for _, r := range recs {
-			if r.key < lo {
-				continue
-			}
-			if r.key > hi || !fn(r) {
-				return nil
-			}
+		more, err = scanBlock(*bp, lo, hi, fn)
+		blockPool.Put(bp)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// scanBlock walks one block for scan, passing fn the records in [lo, hi]
+// until fn stops; it reports whether the scan goes on past the block.
+func scanBlock(buf []byte, lo, hi uint64, fn func(record) bool) (more bool, err error) {
+	n, off, err := blockRecords(buf)
+	if err != nil {
+		return false, err
+	}
+	more = true
+	for ; n > 0; n-- {
+		key, tomb, v, next, ok := recordAt(buf, off)
+		if !ok {
+			return false, ErrCorruptTable
+		}
+		off = next
+		if !more || key < lo {
+			continue
+		}
+		if key > hi {
+			more = false
+			continue
+		}
+		more = fn(record{key: key, value: bytes.Clone(buf[v:next]), tomb: tomb})
+	}
+	return more, nil
 }
