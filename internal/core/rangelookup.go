@@ -201,79 +201,114 @@ func (f *Filter) execSplit(p rangePlan, i int) bool {
 	return false
 }
 
-// maxEach is the most filters MayContainRangeEach takes, so that a set of
-// them is a bit mask.
-const maxEach = 64
+// maxSet is the most filters a FilterSet holds, so that a subset of them
+// is a bit mask.
+const maxSet = 64
 
-// MayContainRangeEach sets out[j] = fs[j].MayContainRange(lo, hi) for every
-// j. It takes at most 64 filters, and out must have the same length as fs;
-// it panics otherwise. The filters that share fs[0]'s layout — the same
-// domain, level deltas, replicas, exact layer, word permutation and scan
-// bound, with any segment sizes — are probed from one plan, layer-major:
-// each layer's checks are worked out once for all of them, each covering
-// and each run's word group is hashed once per replica, and their word
-// loads issue back to back. Those that also have fs[0]'s geometry (each
-// layer's segment, and the segment sizes) share the hash's reduction to a
-// word index too, so that each costs one word load per check. The others
-// answer alone. Zero allocations; safe for concurrent use with Insert.
-func MayContainRangeEach(lo, hi uint64, fs []*Filter, out []bool) {
-	if len(fs) > maxEach || len(out) != len(fs) {
-		panic("core: MayContainRangeEach needs len(out) == len(fs) <= 64")
+// FilterSet probes up to 64 filters at once: its MayContain and
+// MayContainRange return a mask whose bit j is fs[j]'s own answer. The
+// filters that share fs[0]'s layout — the same domain, level deltas,
+// replicas, exact layer, word permutation and scan bound, with any segment
+// sizes — are probed from one plan, layer-major: each layer's checks are
+// worked out once for all of them, each covering and each run's word group
+// is hashed once per replica, and their word loads issue back to back.
+// Those that also have fs[0]'s geometry (each layer's segment, and the
+// segment sizes) share the hash's reduction to a word index too, so that
+// each costs one word load per check. The others answer alone.
+//
+// Build a set once for a fixed list of filters and probe it many times:
+// NewFilterSet decides which filters share what, and a probe allocates
+// nothing. Probes are safe for concurrent use with each other and with
+// Insert.
+type FilterSet struct {
+	fs []*Filter
+	// shared has bit j for each fs[j] that shares fs[0]'s plans, and
+	// sameGeo for each of those that also shares its word indexes; others
+	// is the rest.
+	shared, sameGeo, others uint64
+}
+
+// NewFilterSet returns the set of fs, which it keeps; it panics for more
+// than 64 filters.
+func NewFilterSet(fs []*Filter) FilterSet {
+	if len(fs) > maxSet {
+		panic("core: a FilterSet holds at most 64 filters")
 	}
-	if len(fs) == 0 {
-		return
-	}
-	f := fs[0] // the layout: levels, word shifts, replicas, hashes; the geometry
-	e := eachSet{fs: fs}
+	s := FilterSet{fs: fs}
 	for j, g := range fs {
-		if g.sharesPlan(f) {
-			out[j] = false
-			e.shared |= 1 << j
-			if g.geo == f.geo {
-				e.sameGeo |= 1 << j
-			}
-		} else {
-			out[j] = g.MayContainRange(lo, hi)
+		switch {
+		case !g.sharesPlan(fs[0]):
+			s.others |= 1 << j
+		case g.geo == fs[0].geo:
+			s.shared |= 1 << j
+			s.sameGeo |= 1 << j
+		default:
+			s.shared |= 1 << j
 		}
 	}
-	if lo, hi, ok := f.clampRange(lo, hi); ok {
-		f.execEach(newRangePlan(lo, hi, f.planLevels), &e, out)
-	}
-	runtime.KeepAlive(fs) // every filter, and with it its words' owner
+	return s
 }
 
-// eachSet is the filters a plan made for fs[0]'s layout runs against: bit
-// j of shared for each fs[j] that shares the plan, and of sameGeo for each
-// of those that also shares fs[0]'s word indexes.
-type eachSet struct {
-	fs              []*Filter
-	shared, sameGeo uint64
-}
-
-// execEach runs a plan made for f's layout, f = e.fs[0], against the
-// filters of e.shared and sets out[j] for those that test positive.
-func (f *Filter) execEach(p rangePlan, e *eachSet, out []bool) {
-	setOut := func(hit uint64) {
-		for ; hit != 0; hit &= hit - 1 {
-			out[bits.TrailingZeros64(hit)] = true
+// MayContain returns the mask of the filters in s that may hold x: bit j
+// is fs[j].MayContain(x). The shared filters test the exact layer, then
+// the probabilistic layers top-down, as a single probe does, and drop out
+// at their first cleared bit.
+func (s *FilterSet) MayContain(x uint64) uint64 {
+	var out uint64
+	for m := s.others; m != 0; m &= m - 1 {
+		if j := bits.TrailingZeros64(m); s.fs[j].mayContain(x) {
+			out |= 1 << j
 		}
 	}
-	shared := e.shared
+	if cand := s.shared; cand != 0 {
+		f := s.fs[0]
+		for i := len(f.planLevels) - 1; i >= 0 && cand != 0; i-- {
+			cand = f.coveringEach(i, rsh(x, f.planLevels[i]), s, cand)
+		}
+		out |= cand
+	}
+	runtime.KeepAlive(s.fs) // every filter, and with it its words' owner
+	return out
+}
+
+// MayContainRange returns the mask of the filters in s that may hold a key
+// in [lo, hi]: bit j is fs[j].MayContainRange(lo, hi).
+func (s *FilterSet) MayContainRange(lo, hi uint64) uint64 {
+	var out uint64
+	for m := s.others; m != 0; m &= m - 1 {
+		if j := bits.TrailingZeros64(m); s.fs[j].MayContainRange(lo, hi) {
+			out |= 1 << j
+		}
+	}
+	if s.shared != 0 {
+		f := s.fs[0] // the layout: levels, word shifts, replicas, hashes; the geometry
+		if lo, hi, ok := f.clampRange(lo, hi); ok {
+			out |= f.execEach(newRangePlan(lo, hi, f.planLevels), s)
+		}
+	}
+	runtime.KeepAlive(s.fs)
+	return out
+}
+
+// execEach runs a plan made for f's layout, f = s.fs[0], against the
+// shared filters of s and returns the mask of those that test positive.
+func (f *Filter) execEach(p rangePlan, s *FilterSet) uint64 {
+	shared := s.shared
 	i := p.top()
 	for ; i >= 0 && p.single(i); i-- {
 		pre := rsh(p.lo, p.levels[i])
 		if p.dyadic(i) {
-			setOut(f.runEach(i, pre, pre, e, shared))
-			return
+			return f.runEach(i, pre, pre, s, shared)
 		}
-		if shared = f.coveringEach(i, pre, e, shared); shared == 0 {
-			return
+		if shared = f.coveringEach(i, pre, s, shared); shared == 0 {
+			return 0
 		}
 	}
 	// live[x] is the set of filters on which path 1<<x is alive.
 	var live, next [3]uint64
 	live[0] = shared
 	var l planLayer
+	var out uint64
 	for ; i >= 0; i-- {
 		var alive uint8
 		for x, m := range live {
@@ -282,7 +317,7 @@ func (f *Filter) execEach(p rangePlan, e *eachSet, out []bool) {
 			}
 		}
 		if alive == 0 {
-			return
+			break
 		}
 		p.layer(i, alive, &l)
 		for k := 0; k < l.n; k++ {
@@ -292,11 +327,11 @@ func (f *Filter) execEach(p rangePlan, e *eachSet, out []bool) {
 				continue
 			}
 			if c.give != 0 {
-				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, e, cand)
+				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, s, cand)
 				continue
 			}
-			hit := f.runEach(i, c.lo, c.hi, e, cand)
-			setOut(hit)
+			hit := f.runEach(i, c.lo, c.hi, s, cand)
+			out |= hit
 			for x := range live {
 				live[x] &^= hit
 				next[x] &^= hit
@@ -304,14 +339,15 @@ func (f *Filter) execEach(p rangePlan, e *eachSet, out []bool) {
 		}
 		live, next = next, [3]uint64{}
 	}
+	return out
 }
 
-// coveringEach is testCovering on layer i for every filter in e whose bit
+// coveringEach is testCovering on layer i for every filter in s whose bit
 // is set in cand; it returns the mask of those whose covering bit is set.
 // The word group is hashed once per replica for all of them, and the hash
 // reduced once for those of f's geometry.
-func (f *Filter) coveringEach(i int, prefix uint64, e *eachSet, cand uint64) uint64 {
-	fs := e.fs
+func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) uint64 {
+	fs := s.fs
 	if i == f.k {
 		// Branch-free, so that the filters' word loads overlap.
 		for m := cand; m != 0; m &= m - 1 {
@@ -332,23 +368,23 @@ func (f *Filter) coveringEach(i int, prefix uint64, e *eachSet, cand uint64) uin
 		s0, base0 := f.wordAt(i, h)
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			s, base := s0, base0
-			if e.sameGeo&(1<<j) == 0 {
-				s, base = fs[j].wordAt(i, h)
+			seg, base := s0, base0
+			if s.sameGeo&(1<<j) == 0 {
+				seg, base = fs[j].wordAt(i, h)
 			}
 			pos := base + off
-			cand &^= (^fs[j].segs[s].loadWord(pos) >> (pos & 63) & 1) << j
+			cand &^= (^fs[j].segs[seg].loadWord(pos) >> (pos & 63) & 1) << j
 		}
 	}
 	return cand
 }
 
-// runEach is testRangeLayer on layer i for every filter in e whose bit is
+// runEach is testRangeLayer on layer i for every filter in s whose bit is
 // set in cand; it returns the mask of those with a set bit in the run. Each
 // word group is hashed once per replica for all of them, and the hash
 // reduced once for those of f's geometry.
-func (f *Filter) runEach(i int, pa, pb uint64, e *eachSet, cand uint64) uint64 {
-	fs := e.fs
+func (f *Filter) runEach(i int, pa, pb uint64, s *FilterSet, cand uint64) uint64 {
+	fs := s.fs
 	if i == f.k {
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
@@ -364,7 +400,7 @@ func (f *Filter) runEach(i int, pa, pb uint64, e *eachSet, cand uint64) uint64 {
 	if gb-ga >= f.maxScan {
 		return cand
 	}
-	var acc [maxEach]uint64
+	var acc [maxSet]uint64
 	var hit uint64
 	for g := ga; g <= gb && cand != 0; g++ {
 		mask := runMask(pa, pb, g, ga, gb, wbits, f.permute)
@@ -376,11 +412,11 @@ func (f *Filter) runEach(i int, pa, pb uint64, e *eachSet, cand uint64) uint64 {
 			s0, base0 := f.wordAt(i, h)
 			for m := cand; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
-				s, base := s0, base0
-				if e.sameGeo&(1<<j) == 0 {
-					s, base = fs[j].wordAt(i, h)
+				seg, base := s0, base0
+				if s.sameGeo&(1<<j) == 0 {
+					seg, base = fs[j].wordAt(i, h)
 				}
-				acc[j] &= fs[j].segs[s].loadSub(base, uint(wbits))
+				acc[j] &= fs[j].segs[seg].loadSub(base, uint(wbits))
 			}
 		}
 		for m := cand; m != 0; m &= m - 1 {

@@ -178,6 +178,56 @@ func (f *Filter) levelAtRef(i int) uint {
 type planFamily struct {
 	same    []*Filter
 	foreign *Filter
+	keys    []uint64 // some of the keys in same[0], for positive point probes
+}
+
+// sets returns the filter lists checkPlan and checkPoint probe as one
+// FilterSet: same; same with the foreign filter first, in the middle and
+// last; and 64 filters that cycle through all of them, so that the
+// foreign one sits at bit 63.
+func (fam planFamily) sets() [][]*Filter {
+	sets := [][]*Filter{fam.same}
+	for at := 0; at <= len(fam.same); at += 2 {
+		sets = append(sets, append(append(append([]*Filter(nil), fam.same[:at]...), fam.foreign), fam.same[at:]...))
+	}
+	all := append(append([]*Filter(nil), fam.same...), fam.foreign)
+	wide := make([]*Filter, maxSet)
+	for j := range wide {
+		wide[j] = all[(j+1)%len(all)]
+	}
+	return append(sets, wide)
+}
+
+// checkSet compares each set of fam.sets with its filters' own answers,
+// as probe returns them for one filter and as mask returns them for the
+// set.
+func checkSet(t *testing.T, fam planFamily, what string, probe func(*Filter) bool, mask func(*FilterSet) uint64) {
+	t.Helper()
+	want := map[*Filter]bool{fam.foreign: probe(fam.foreign)}
+	for _, f := range fam.same {
+		want[f] = probe(f)
+	}
+	for n, fs := range fam.sets() {
+		var wantMask uint64
+		for j, f := range fs {
+			if want[f] {
+				wantMask |= 1 << j
+			}
+		}
+		set := NewFilterSet(fs)
+		if got := mask(&set); got != wantMask {
+			t.Fatalf("set %d of %d filters: %s = %#x, the filters' own answers %#x", n, len(fs), what, got, wantMask)
+		}
+	}
+}
+
+// checkPoint compares FilterSet.MayContain with each filter's MayContain.
+func checkPoint(t *testing.T, fam planFamily, x uint64) {
+	t.Helper()
+	x &= lowMask(min(fam.same[0].domain, fam.foreign.domain))
+	checkSet(t, fam, fmt.Sprintf("MayContain(%d)", x),
+		func(f *Filter) bool { return f.MayContain(x) },
+		func(s *FilterSet) uint64 { return s.MayContain(x) })
 }
 
 // planFamilies builds the layouts TestNoFalseNegativesRangeAllConfigs
@@ -206,13 +256,17 @@ func planFamilies(tb testing.TB) []planFamily {
 		{Domain: 24, Deltas: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2}, SegBits: []uint64{4096}},
 	}
 	rng := rand.New(rand.NewSource(12))
+	var inserted []uint64 // the keys of the filter build made last
 	build := func(cfg Config, n int) *Filter {
 		f, err := New(cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		inserted = inserted[:0]
 		for i := 0; i < n; i++ {
-			f.Insert(rng.Uint64() & lowMask(uint(cfg.Domain)))
+			x := rng.Uint64() & lowMask(uint(cfg.Domain))
+			f.Insert(x)
+			inserted = append(inserted, x)
 		}
 		return f
 	}
@@ -225,9 +279,12 @@ func planFamilies(tb testing.TB) []planFamily {
 		for s, b := range cfg.SegBits {
 			bigger.SegBits[s] = 2 * b
 		}
+		same0 := build(cfg, 200)
+		keys := append([]uint64(nil), inserted[:64]...)
 		fam := planFamily{
-			same:    []*Filter{build(cfg, 200), build(bigger, 300), build(cfg, 50)},
+			same:    []*Filter{same0, build(bigger, 300), build(cfg, 50)},
 			foreign: build(configs[(i+1)%len(configs)], 200),
+			keys:    keys,
 		}
 		if i == 1 {
 			fam.same = append(fam.same, build(regrouped, 200))
@@ -239,49 +296,32 @@ func planFamilies(tb testing.TB) []planFamily {
 
 // checkPlan compares every way of running a range probe with the
 // reference: MayContainRange, a plan made for one filter executed against
-// each filter of its layout, and MayContainRangeEach over one layout and
-// over mixed layouts (the foreign filter first, in the middle and last).
+// each filter of its layout, and FilterSet.MayContainRange over every set
+// of fam.sets.
 func checkPlan(t *testing.T, fam planFamily, lo, hi uint64) {
 	t.Helper()
-	want := make([]bool, len(fam.same))
-	for j, f := range fam.same {
-		want[j] = f.mayContainRangeRef(lo, hi)
-		if got := f.MayContainRange(lo, hi); got != want[j] {
-			t.Fatalf("filter %d: MayContainRange(%d, %d) = %v, reference %v", j, lo, hi, got, want[j])
+	for j, f := range append([]*Filter{fam.foreign}, fam.same...) {
+		if got, want := f.MayContainRange(lo, hi), f.mayContainRangeRef(lo, hi); got != want {
+			t.Fatalf("filter %d: MayContainRange(%d, %d) = %v, reference %v", j-1, lo, hi, got, want)
 		}
 	}
 	plo, phi, ok := fam.same[1].clampRange(lo, hi)
 	p := newRangePlan(plo, phi, fam.same[1].planLevels)
 	for j, f := range fam.same {
-		if got := ok && f.execPlan(p); got != want[j] {
-			t.Fatalf("filter %d: shared plan of [%d, %d] = %v, reference %v", j, lo, hi, got, want[j])
+		if got, want := ok && f.execPlan(p), f.mayContainRangeRef(lo, hi); got != want {
+			t.Fatalf("filter %d: shared plan of [%d, %d] = %v, reference %v", j, lo, hi, got, want)
 		}
 	}
-	out := make([]bool, len(fam.same))
-	MayContainRangeEach(lo, hi, fam.same, out)
-	for j := range out {
-		if out[j] != want[j] {
-			t.Fatalf("filter %d: MayContainRangeEach(%d, %d) = %v, reference %v", j, lo, hi, out[j], want[j])
-		}
-	}
-	foreignWant := fam.foreign.mayContainRangeRef(lo, hi)
-	for at := 0; at <= len(fam.same); at += 2 {
-		mixed := append(append(append([]*Filter(nil), fam.same[:at]...), fam.foreign), fam.same[at:]...)
-		mixedWant := append(append(append([]bool(nil), want[:at]...), foreignWant), want[at:]...)
-		out := make([]bool, len(mixed))
-		MayContainRangeEach(lo, hi, mixed, out)
-		for j := range out {
-			if out[j] != mixedWant[j] {
-				t.Fatalf("mixed (foreign at %d), filter %d: MayContainRangeEach(%d, %d) = %v, reference %v", at, j, lo, hi, out[j], mixedWant[j])
-			}
-		}
-	}
+	checkSet(t, fam, fmt.Sprintf("MayContainRange(%d, %d)", lo, hi),
+		func(f *Filter) bool { return f.MayContainRange(lo, hi) },
+		func(s *FilterSet) uint64 { return s.MayContainRange(lo, hi) })
 }
 
 // FuzzRangePlan holds every execution of a range plan to the reference
 // traversal, bit for bit, for arbitrary bounds in either order. Each input
 // is checked as given and as a narrow range starting at lo, so that
-// ranges near stored keys and wide ranges both come up.
+// ranges near stored keys and wide ranges both come up, and every set's
+// point probe is checked at lo and at a stored key.
 func FuzzRangePlan(f *testing.F) {
 	fams := planFamilies(f)
 	for _, s := range [][3]uint64{
@@ -298,11 +338,14 @@ func FuzzRangePlan(f *testing.F) {
 		ff := fams[int(fam)%len(fams)]
 		checkPlan(t, ff, lo, hi)
 		checkPlan(t, ff, lo, lo+min(hi%4096, ^uint64(0)-lo))
+		checkPoint(t, ff, lo)
+		checkPoint(t, ff, ff.keys[hi%uint64(len(ff.keys))])
 	})
 }
 
 // TestRangePlanMatchesReference runs checkPlan over random queries around
-// stored keys and across the domain in every family.
+// stored keys and across the domain in every family, and checkPoint at
+// random and at stored keys.
 func TestRangePlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	fams := planFamilies(t)
@@ -328,6 +371,8 @@ func TestRangePlanMatchesReference(t *testing.T) {
 				lo, hi = hi, lo
 			}
 			checkPlan(t, fam, lo, hi)
+			checkPoint(t, fam, lo)
+			checkPoint(t, fam, fam.keys[trial%len(fam.keys)])
 		}
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/hashutil"
 )
 
 // blockValue is the 8-byte value stored under k, so that every record of
@@ -26,6 +29,14 @@ const blockRecordSize = 13 + 8
 // blocks carry no checksum, so the damage shows only when a read walks
 // the block.
 func corruptDB(t *testing.T, damage func(block []byte)) (db *DB, firstKey, lastKey uint64) {
+	t.Helper()
+	return damagedDB(t, func(file []byte, e indexEntry) { damage(file[e.off : e.off+e.length]) })
+}
+
+// damagedDB writes one table of keys 1..1000, applies damage to the whole
+// file, given the index entry of its first data block, and opens a DB
+// over it.
+func damagedDB(t *testing.T, damage func(file []byte, e indexEntry)) (db *DB, firstKey, lastKey uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "000000.sst")
@@ -51,7 +62,7 @@ func corruptDB(t *testing.T, damage func(block []byte)) (db *DB, firstKey, lastK
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage(data[e.off : e.off+e.length])
+	damage(data, e)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +111,49 @@ func TestDataBlockCorruption(t *testing.T) {
 			// The next block is intact.
 			if v, found, err := db.Get(last + 1); err != nil || !found || !bytes.Equal(v, blockValue(last+1)) {
 				t.Errorf("Get(%d) past the damaged block = %x, %v, %v", last+1, v, found, err)
+			}
+		})
+	}
+}
+
+// TestIndexEntryPastEOF points the first index entry of a table past the
+// end of its data blocks, in three ways, and restamps the index and footer
+// checksums so that the table opens: a Get and a Scan that reach the
+// block must fail with ErrCorruptTable, and must not panic.
+func TestIndexEntryPastEOF(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		off, length func(size uint64) uint64
+	}{
+		{"offset past the end", func(size uint64) uint64 { return size + 4096 }, nil},
+		{"length past the end", nil, func(size uint64) uint64 { return size }},
+		{"offset plus length wraps", nil, func(uint64) uint64 { return ^uint64(0) - 8 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, first, last := damagedDB(t, func(file []byte, _ indexEntry) {
+				foot := file[len(file)-footerSize:]
+				indexOff := binary.LittleEndian.Uint64(foot)
+				idx := file[indexOff : indexOff+binary.LittleEndian.Uint64(foot[8:])]
+				size := uint64(len(file))
+				if c.off != nil {
+					binary.LittleEndian.PutUint64(idx[4+16:], c.off(size))
+				}
+				if c.length != nil {
+					binary.LittleEndian.PutUint64(idx[4+24:], c.length(size))
+				}
+				binary.LittleEndian.PutUint64(foot[40:], hashutil.HashBytes(idx, tableMagic))
+				binary.LittleEndian.PutUint64(foot[56:], hashutil.HashBytes(foot[:56], tableMagic))
+			})
+			for _, k := range []uint64{first, last} {
+				if _, _, err := db.Get(k); !errors.Is(err, ErrCorruptTable) {
+					t.Errorf("Get(%d): err = %v, want ErrCorruptTable", k, err)
+				}
+				if _, err := db.Scan(k, k); !errors.Is(err, ErrCorruptTable) {
+					t.Errorf("Scan(%d, %d): err = %v, want ErrCorruptTable", k, k, err)
+				}
+			}
+			if v, found, err := db.Get(last + 1); err != nil || !found || !bytes.Equal(v, blockValue(last+1)) {
+				t.Errorf("Get(%d) past the damaged entry = %x, %v, %v", last+1, v, found, err)
 			}
 		})
 	}
@@ -155,8 +209,8 @@ func checkHeld(x uint64, get []byte, scan []KV) error {
 }
 
 // TestReadValuesOutliveBlockBuffer holds the values of a Get and a Scan
-// while 10k later reads reuse the pooled block buffers they were read
-// through: the values must stay as stored.
+// while 10k later reads walk the same mapped blocks, and then across
+// DB.Close: the values must stay as stored.
 func TestReadValuesOutliveBlockBuffer(t *testing.T) {
 	db := readsDB(t)
 	get, scan, err := heldReads(db, 1000)
@@ -172,36 +226,185 @@ func TestReadValuesOutliveBlockBuffer(t *testing.T) {
 	if err := checkHeld(1000, get, scan); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkHeld(1000, get, scan); err != nil {
+		t.Fatalf("after Close: %v", err)
+	}
 }
 
 // TestConcurrentReadValuesOutliveBlockBuffer is the concurrent form of
-// TestReadValuesOutliveBlockBuffer: readers across all tables share the
-// buffer pool, and each checks the values it holds after every read. Run
-// it under the race detector.
+// TestReadValuesOutliveBlockBuffer: readers across all tables check the
+// values they hold after every read, and once more after DB.Close. Run it
+// under the race detector.
 func TestConcurrentReadValuesOutliveBlockBuffer(t *testing.T) {
 	db := readsDB(t)
 	const readers, reads = 4, 2500
-	errs := make(chan error, readers)
+	type held struct {
+		x    uint64
+		get  []byte
+		scan []KV
+		err  error
+	}
+	results := make(chan held, readers)
 	var wg sync.WaitGroup
 	for r := uint64(0); r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x := 100 + 900*r
-			get, scan, err := heldReads(db, x)
-			for i := uint64(0); err == nil && i < reads; i++ {
-				if _, _, err = heldReads(db, (i*7919+r*131)%3900); err == nil {
-					err = checkHeld(x, get, scan)
+			h := held{x: 100 + 900*r}
+			h.get, h.scan, h.err = heldReads(db, h.x)
+			for i := uint64(0); h.err == nil && i < reads; i++ {
+				if _, _, h.err = heldReads(db, (i*7919+r*131)%3900); h.err == nil {
+					h.err = checkHeld(h.x, h.get, h.scan)
 				}
 			}
-			errs <- err
+			results <- h
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+	close(results)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for h := range results {
+		if h.err == nil {
+			h.err = checkHeld(h.x, h.get, h.scan)
+		}
+		if h.err != nil {
+			t.Error(h.err)
+		}
+	}
+}
+
+// TestReadsRaceClose closes a DB under readers across its tables. A read
+// that loaded the view before Close finishes on that view's tables, which
+// Close unmaps only once the read is done, so it answers as stored; a read
+// after Close sees only the empty memtable. No read may fail or fault.
+// Run it under the race detector.
+func TestReadsRaceClose(t *testing.T) {
+	db := readsDB(t)
+	const readers = 4
+	errs := make(chan error, readers)
+	started := make(chan struct{}, readers)
+	for r := uint64(0); r < readers; r++ {
+		go func() {
+			for i := uint64(0); ; i++ {
+				if i == 100 {
+					started <- struct{}{}
+				}
+				x := (i*7919 + r*131) % 3900
+				v, found, err := db.Get(x)
+				if err != nil || found && !bytes.Equal(v, blockValue(x)) {
+					errs <- fmt.Errorf("Get(%d) = %x, %v, %v", x, v, found, err)
+					return
+				}
+				kvs, err := db.Scan(x, x+40)
+				if err == nil && len(kvs) != 0 {
+					err = checkHeld(x, blockValue(x), kvs)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("Scan(%d, %d): %v", x, x+40, err)
+					return
+				}
+				if !found && len(kvs) == 0 {
+					errs <- nil // the view after Close
+					return
+				}
+			}
+		}()
+	}
+	for range readers {
+		<-started
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range readers {
+		if err := <-errs; err != nil {
 			t.Error(err)
 		}
 	}
+}
+
+// TestWritesRaceFlush checks that no acknowledged write is lost to a
+// concurrent flush: one writer beside a goroutine that flushes up to 4
+// times while the writer runs, then two writers whose puts fill the
+// memtable and flush it themselves. Every key put must be found
+// afterwards. Run it under the race detector.
+func TestWritesRaceFlush(t *testing.T) {
+	check := func(t *testing.T, db *DB, n uint64) {
+		t.Helper()
+		for k := uint64(0); k < n; k++ {
+			if v, found, err := db.Get(k); err != nil || !found || !bytes.Equal(v, blockValue(k)) {
+				t.Fatalf("Get(%d) = %x, %v, %v after %d puts and %d tables", k, v, found, err, n, db.NumTables())
+			}
+		}
+	}
+	t.Run("flush loop", func(t *testing.T) {
+		db, err := Open(DBOptions{Dir: t.TempDir(), Policy: exactPolicy{}, MemtableBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		const n = 20000
+		done := make(chan struct{})
+		flushed := make(chan error, 1)
+		go func() {
+			// Each flush syncs its table and directory, which can take a
+			// tenth of a second on a slow disk, so the flushes are few.
+			for i := 0; i < 4; i++ {
+				select {
+				case <-done:
+					flushed <- nil
+					return
+				case <-time.After(200 * time.Microsecond):
+				}
+				if err := db.Flush(); err != nil {
+					flushed <- err
+					return
+				}
+			}
+			flushed <- nil
+		}()
+		for k := uint64(0); k < n; k++ {
+			if err := db.Put(k, blockValue(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(done)
+		if err := <-flushed; err != nil {
+			t.Fatal(err)
+		}
+		check(t, db, n)
+	})
+	t.Run("two writers, automatic flushes", func(t *testing.T) {
+		db, err := Open(DBOptions{Dir: t.TempDir(), Policy: exactPolicy{}, MemtableBytes: 128 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		const n = 20000
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for w := uint64(0); w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := w; k < n; k += 2 {
+					if err := db.Put(k, blockValue(k)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		check(t, db, n)
+	})
 }

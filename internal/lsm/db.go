@@ -7,10 +7,12 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,17 +37,63 @@ type DBOptions struct {
 // DB is a minimal LSM store: one mutable memtable plus a set of immutable
 // L0 SSTables searched newest-first. Compaction is disabled, matching the
 // paper's RocksDB setup ("compaction-disabled SST file", §9).
+//
+// Reads take no lock: Get and Scan load the current readView once. A
+// writer holds mu's read side while it adds to the memtable, and a flush
+// holds its write side from taking the memtable's records until it has
+// published the view with the new table and a fresh memtable, so that no
+// acknowledged write lands in a memtable the flush has already copied.
 type DB struct {
 	opt         DBOptions
 	reg         Registry
 	mu          sync.RWMutex
-	mem         *skiplist
-	tables      []*Table       // newest last
-	filters     []FilterReader // tables[i].filter, for RangeSetReader
+	view        atomic.Pointer[readView]
 	seq         int
 	stats       IOStats
 	quarantined []string
+
+	// readers counts the Gets and Scans in flight, each in the slot of
+	// epoch's parity when it started (acquire). Close publishes a view
+	// without tables, flips epoch and waits for the old slot to drain
+	// before it unmaps the tables: a read that could hold the old view
+	// counts in that slot, and one that starts after the flip loads the
+	// new view.
+	readers [2]atomic.Int64
+	epoch   atomic.Uint32
 }
+
+// acquire registers a read and returns the view it reads and the slot
+// that counts it, which the read decrements when it is done.
+func (db *DB) acquire() (*readView, *atomic.Int64) {
+	slot := &db.readers[db.epoch.Load()&1]
+	slot.Add(1)
+	return db.view.Load(), slot
+}
+
+// readView is what a read sees: the memtable, the tables newest last, and
+// one FilterSet per 64 of them, sets[g] over tables[64g:64g+64]. A view is
+// never modified once published; a flush publishes a new one.
+type readView struct {
+	mem    *skiplist
+	tables []*Table
+	sets   []FilterSet
+}
+
+// withTable returns the view of v's tables and t under memtable mem. It
+// rebuilds only the last set; the others cover the same tables as in v.
+func (v *readView) withTable(t *Table, mem *skiplist) *readView {
+	tables := append(v.tables[:len(v.tables):len(v.tables)], t)
+	g := (len(tables) - 1) / setSize
+	rs := make([]FilterReader, len(tables)-g*setSize)
+	for i, t := range tables[g*setSize:] {
+		rs[i] = t.filter
+	}
+	sets := append(v.sets[:g:g], newFilterSet(rs))
+	return &readView{mem: mem, tables: tables, sets: sets}
+}
+
+// setSize is the most tables one FilterSet covers.
+const setSize = 64
 
 // Open creates or reopens a DB in opt.Dir.
 func Open(opt DBOptions) (*DB, error) {
@@ -64,7 +112,9 @@ func Open(opt DBOptions) (*DB, error) {
 	} else if _, ok := reg[opt.Policy.Name()]; !ok {
 		reg[opt.Policy.Name()] = opt.Policy
 	}
-	db := &DB{opt: opt, reg: reg, mem: newSkiplist(1)}
+	db := &DB{opt: opt, reg: reg}
+	view := &readView{mem: newSkiplist(1)}
+	db.view.Store(view)
 	// Sweep in-flight table files a crash left behind: they never reached
 	// their commit rename, so they hold no acknowledged data.
 	tmps, err := filepath.Glob(filepath.Join(opt.Dir, "*.sst"+tmpSuffix))
@@ -110,8 +160,8 @@ func Open(opt DBOptions) (*DB, error) {
 			db.Close()
 			return nil, fmt.Errorf("lsm: reopen %s: %w", p, err)
 		}
-		db.tables = append(db.tables, t)
-		db.filters = append(db.filters, t.filter)
+		view = view.withTable(t, view.mem)
+		db.view.Store(view)
 	}
 	return db, nil
 }
@@ -139,18 +189,25 @@ func (db *DB) Quarantined() []string {
 	return append([]string(nil), db.quarantined...)
 }
 
-// Close releases all tables. The memtable is not flushed implicitly; call
-// Flush first for durability.
+// Close releases all tables; later reads see the memtable alone. The
+// memtable is not flushed implicitly; call Flush first for durability. A
+// read that runs during Close finishes on the tables of the view it
+// loaded: Close waits for it before it unmaps them, so that a table file
+// is free to delete once Close returns.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	old := db.view.Load()
+	db.view.Store(&readView{mem: old.mem})
+	for slot := &db.readers[(db.epoch.Add(1)-1)&1]; slot.Load() != 0; {
+		runtime.Gosched()
+	}
 	var first error
-	for _, t := range db.tables {
+	for _, t := range old.tables {
 		if err := t.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	db.tables, db.filters = nil, nil
 	return first
 }
 
@@ -159,18 +216,24 @@ func (db *DB) Stats() *IOStats { return &db.stats }
 
 // Put inserts or overwrites a key.
 func (db *DB) Put(key uint64, value []byte) error {
-	db.mem.put(key, append([]byte(nil), value...), false)
-	return db.maybeFlush()
+	return db.write(key, append([]byte(nil), value...), false)
 }
 
 // Delete writes a tombstone.
 func (db *DB) Delete(key uint64) error {
-	db.mem.put(key, nil, true)
-	return db.maybeFlush()
+	return db.write(key, nil, true)
 }
 
-func (db *DB) maybeFlush() error {
-	if db.mem.memory() < db.opt.MemtableBytes {
+// write adds a record to the memtable under mu's read side, so that a
+// flush cannot take the memtable's records in between, and flushes once
+// the memtable is full.
+func (db *DB) write(key uint64, value []byte, tomb bool) error {
+	db.mu.RLock()
+	mem := db.view.Load().mem
+	mem.put(key, value, tomb)
+	full := mem.memory() >= db.opt.MemtableBytes
+	db.mu.RUnlock()
+	if !full {
 		return nil
 	}
 	return db.Flush()
@@ -187,7 +250,8 @@ func (db *DB) Flush() error {
 func (db *DB) FlushWithTiming() (time.Duration, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	recs := db.mem.all()
+	view := db.view.Load()
+	recs := view.mem.all()
 	if len(recs) == 0 {
 		return 0, nil
 	}
@@ -210,63 +274,62 @@ func (db *DB) FlushWithTiming() (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.tables = append(db.tables, t)
-	db.filters = append(db.filters, t.filter)
 	db.seq++
-	db.mem = newSkiplist(int64(db.seq))
+	db.view.Store(view.withTable(t, newSkiplist(int64(db.seq))))
 	return w.FilterBuildTime, nil
 }
 
-// Get returns the newest value for key. It reads the clock once around
-// the filter probes of the whole op and pauses it only around a block
-// read, so IOStats.FilterProbeNanos holds probe time alone.
+// Get returns the newest value for key. It probes the filters of up to 64
+// tables at once, timed by one clock pair, then walks those tables
+// newest-first and reads a block only behind a positive filter. It counts
+// a probe, and a negative, only for the tables it walks.
 func (db *DB) Get(key uint64) ([]byte, bool, error) {
-	mem, tables, _ := db.view()
-	if v, tomb, found := mem.get(key); found {
+	v, slot := db.acquire()
+	defer slot.Add(-1)
+	if val, tomb, found := v.mem.get(key); found {
 		if tomb {
 			return nil, false, nil
 		}
-		return v, true, nil
+		return val, true, nil
 	}
 	var probes, negatives uint64
 	var probeTime time.Duration
-	start := time.Now()
-	for i := len(tables) - 1; i >= 0; i-- {
-		t := tables[i]
-		probes++
-		if !t.filter.KeyMayMatch(key) {
-			negatives++
-			continue
-		}
-		b := t.findBlock(key)
-		if b < 0 {
-			continue
-		}
-		probeTime += time.Since(start)
-		v, tomb, found, err := t.getInBlock(b, key)
-		if err != nil || found {
-			db.stats.addProbes(probes, negatives, probeTime)
-			if err != nil || tomb {
-				return nil, false, err
+	for g := len(v.sets) - 1; g >= 0; g-- {
+		start := monotonic()
+		pass := v.sets[g].KeyMayMatch(key)
+		probeTime += monotonic() - start
+		base := g * setSize
+		for i := min(base+setSize, len(v.tables)) - 1; i >= base; i-- {
+			probes++
+			if pass&(1<<(i-base)) == 0 {
+				negatives++
+				continue
 			}
-			return v, true, nil
+			t := v.tables[i]
+			b := t.findBlock(key)
+			if b < 0 {
+				continue
+			}
+			val, tomb, found, err := t.getInBlock(b, key)
+			if err != nil || found {
+				db.stats.addProbes(probes, negatives, probeTime)
+				if err != nil || tomb {
+					return nil, false, err
+				}
+				return val, true, nil
+			}
 		}
-		start = time.Now()
 	}
-	probeTime += time.Since(start)
 	db.stats.addProbes(probes, negatives, probeTime)
 	return nil, false, nil
 }
 
-// view returns the memtable, the tables a read sees and their filters.
-// Flush swaps the memtable and appends to db.tables and db.filters under
-// the write lock, and nothing rewrites an element, so the slice headers
-// read here stay valid without a copy.
-func (db *DB) view() (*skiplist, []*Table, []FilterReader) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.mem, db.tables, db.filters
-}
+// clockBase anchors monotonic: time.Since on a time with a monotonic
+// reading reads one clock, where time.Now reads two.
+var clockBase = time.Now()
+
+// monotonic returns the time since clockBase, for timing a span of an op.
+func monotonic() time.Duration { return time.Since(clockBase) }
 
 // KV is one key-value pair produced by Scan.
 type KV struct {
@@ -284,10 +347,12 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	mem, tables, filters := db.view()
+	v, slot := db.acquire()
+	defer slot.Add(-1)
+	tables := v.tables
 	var memRecs []record
-	mem.scan(lo, hi, func(k uint64, v []byte, tomb bool) bool {
-		memRecs = append(memRecs, record{key: k, value: v, tomb: tomb})
+	v.mem.scan(lo, hi, func(k uint64, val []byte, tomb bool) bool {
+		memRecs = append(memRecs, record{key: k, value: val, tomb: tomb})
 		return true
 	})
 
@@ -295,11 +360,11 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	// key in [lo, hi].
 	var passBuf [4]uint64
 	pass := passBuf[:0]
-	start := time.Now()
-	for base := 0; base < len(tables); base += 64 {
-		pass = append(pass, rangeMayMatch(filters[base:min(base+64, len(filters))], lo, hi))
+	start := monotonic()
+	for _, set := range v.sets {
+		pass = append(pass, set.RangeMayMatch(lo, hi))
 	}
-	probeTime := time.Since(start)
+	probeTime := monotonic() - start
 	survivors := 0
 	for _, m := range pass {
 		survivors += bits.OnesCount64(m)
@@ -337,22 +402,6 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	return mergeNewestWins(sources), nil
 }
 
-// rangeMayMatch probes up to 64 filters for [lo, hi] and returns the
-// verdicts as a bit mask, bit j for rs[j]. When the newest filter shares
-// range plans with others, it probes them all.
-func rangeMayMatch(rs []FilterReader, lo, hi uint64) uint64 {
-	if set, ok := rs[len(rs)-1].(RangeSetReader); ok {
-		return set.RangeMayMatchSet(lo, hi, rs)
-	}
-	var pass uint64
-	for j, r := range rs {
-		if r.RangeMayMatch(lo, hi) {
-			pass |= 1 << j
-		}
-	}
-	return pass
-}
-
 // liveKVs drops the tombstones of one sorted, duplicate-free stream.
 func liveKVs(recs []record) []KV {
 	var out []KV
@@ -373,11 +422,7 @@ func (db *DB) ScanEmptyCheck(lo, hi uint64) (bool, error) {
 }
 
 // NumTables returns the number of L0 SSTables.
-func (db *DB) NumTables() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.tables)
-}
+func (db *DB) NumTables() int { return len(db.view.Load().tables) }
 
 // mergeNewestWins merges per-source sorted record streams; lower source
 // index wins on key ties (sources are ordered newest first). Tombstones

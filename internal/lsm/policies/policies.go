@@ -68,31 +68,28 @@ type bloomRFReader struct{ f *core.Filter }
 func (r bloomRFReader) KeyMayMatch(key uint64) bool      { return r.f.MayContain(key) }
 func (r bloomRFReader) RangeMayMatch(lo, hi uint64) bool { return r.f.MayContainRange(lo, hi) }
 
-// RangeMayMatchSet implements lsm.RangeSetReader: the bloomRF readers in rs
-// are probed together by core.MayContainRangeEach, so those that share a
-// layout share one range plan; the others answer alone.
-func (r bloomRFReader) RangeMayMatchSet(lo, hi uint64, rs []lsm.FilterReader) uint64 {
-	var fs [64]*core.Filter
-	var at [64]uint8
-	var out [64]bool
-	var pass uint64
-	n := 0
+// NewSet implements lsm.SetReader: when every reader in rs is bloomRF,
+// they are probed together through one core.FilterSet, so those that share
+// a layout share each probe's plan and hashes. A store whose tables mix
+// policies asks each reader in turn.
+func (r bloomRFReader) NewSet(rs []lsm.FilterReader) lsm.FilterSet {
+	fs := make([]*core.Filter, len(rs))
 	for j, x := range rs {
-		if b, ok := x.(bloomRFReader); ok {
-			fs[n], at[n] = b.f, uint8(j)
-			n++
-		} else if x.RangeMayMatch(lo, hi) {
-			pass |= 1 << j
+		b, ok := x.(bloomRFReader)
+		if !ok {
+			return lsm.ReaderSet(rs)
 		}
+		fs[j] = b.f
 	}
-	core.MayContainRangeEach(lo, hi, fs[:n], out[:n])
-	for t, ok := range out[:n] {
-		if ok {
-			pass |= 1 << at[t]
-		}
-	}
-	return pass
+	return &bloomRFSet{core.NewFilterSet(fs)}
 }
+
+// bloomRFSet is the lsm.FilterSet of bloomRF readers.
+type bloomRFSet struct{ core.FilterSet }
+
+func (s *bloomRFSet) KeyMayMatch(key uint64) uint64 { return s.MayContain(key) }
+
+func (s *bloomRFSet) RangeMayMatch(lo, hi uint64) uint64 { return s.MayContainRange(lo, hi) }
 
 // ---------------------------------------------------------------- Bloom
 

@@ -83,14 +83,15 @@ func TestLSMReadZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRangeMayMatchSet checks the bloomRF reader's set probe against each
-// reader's own RangeMayMatch over readers of mixed policies and mixed
-// bloomRF layouts, the newest one last as DB.Scan passes them. The tables
-// of 3500 and 13000 keys get tuned layouts that differ only in one
-// layer's delta (exact levels 50 and 48).
+// TestRangeMayMatchSet checks the set a bloomRF reader builds against
+// each reader's own KeyMayMatch and RangeMayMatch, over bloomRF readers of
+// mixed layouts, the newest one last as DB passes them, and over readers
+// of mixed policies. The tables of 3500 and 13000 keys get tuned layouts
+// that differ only in one layer's delta (exact levels 50 and 48).
 func TestRangeMayMatchSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var readers []lsm.FilterReader
+	var keys []uint64 // some stored keys of every table
 	for _, c := range []struct {
 		p lsm.FilterPolicy
 		n int
@@ -102,12 +103,13 @@ func TestRangeMayMatchSet(t *testing.T) {
 		{&policies.Fence{ZoneSize: 64}, 3000},
 		{&policies.BloomRF{BitsPerKey: 16, MaxRange: 1 << 10}, 3000},
 	} {
-		keys := make([]uint64, c.n)
-		for i := range keys {
-			keys[i] = rng.Uint64() >> 8
+		tk := make([]uint64, c.n)
+		for i := range tk {
+			tk[i] = rng.Uint64() >> 8
 		}
-		slices.Sort(keys)
-		block, err := c.p.CreateFilter(keys)
+		keys = append(keys, tk[:100]...)
+		slices.Sort(tk)
+		block, err := c.p.CreateFilter(tk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,28 +119,34 @@ func TestRangeMayMatchSet(t *testing.T) {
 		}
 		readers = append(readers, r)
 	}
-	set, ok := readers[len(readers)-1].(lsm.RangeSetReader)
+	newest, ok := readers[len(readers)-1].(lsm.SetReader)
 	if !ok {
-		t.Fatal("the bloomRF reader does not implement lsm.RangeSetReader")
+		t.Fatal("the bloomRF reader does not implement lsm.SetReader")
 	}
-	positives := 0
-	for i := 0; i < 20000; i++ {
-		lo := rng.Uint64() >> 8
-		hi := lo + rng.Uint64()%(1<<uint(rng.Intn(40)))
-		var want uint64
-		for j, r := range readers {
-			if r.RangeMayMatch(lo, hi) {
-				want |= 1 << j
+	bloomRF := []lsm.FilterReader{readers[0], readers[2], readers[3], readers[5]}
+	for _, rs := range [][]lsm.FilterReader{readers, bloomRF} {
+		set := newest.NewSet(rs)
+		positives := 0
+		for i := 0; i < 20000; i++ {
+			lo := rng.Uint64() >> 8
+			hi := lo + rng.Uint64()%(1<<uint(rng.Intn(40)))
+			if got, want := set.RangeMayMatch(lo, hi), lsm.ReaderSet(rs).RangeMayMatch(lo, hi); got != want {
+				t.Fatalf("%d readers: RangeMayMatch(%#x, %#x) = %06b, want %06b", len(rs), lo, hi, got, want)
+			}
+			x := lo
+			if i%2 == 1 {
+				x = keys[i%len(keys)]
+			}
+			got, want := set.KeyMayMatch(x), lsm.ReaderSet(rs).KeyMayMatch(x)
+			if got != want {
+				t.Fatalf("%d readers: KeyMayMatch(%#x) = %06b, want %06b", len(rs), x, got, want)
+			}
+			if want != 0 {
+				positives++
 			}
 		}
-		if got := set.RangeMayMatchSet(lo, hi, readers); got != want {
-			t.Fatalf("RangeMayMatchSet(%#x, %#x) = %06b, want %06b", lo, hi, got, want)
+		if positives == 0 {
+			t.Fatalf("%d readers: no reader ever answered maybe", len(rs))
 		}
-		if want&0b101101 != 0 {
-			positives++
-		}
-	}
-	if positives == 0 {
-		t.Fatal("no bloomRF reader ever answered maybe")
 	}
 }

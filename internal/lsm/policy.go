@@ -31,18 +31,62 @@ type FilterReader interface {
 	RangeMayMatch(lo, hi uint64) bool
 }
 
-// RangeSetReader is an optional FilterReader extension for filters whose
-// range probe splits into a plan, which depends only on the query and the
-// filter's layout, and its execution against one filter's bits. DB.Scan
-// hands the readers of up to 64 tables at once to the newest one's
-// RangeMayMatchSet when it implements this, so that the tables sharing a
-// layout are probed from one plan.
-type RangeSetReader interface {
+// FilterSet answers point and range membership for up to 64 tables at
+// once: bit j of each mask is the answer of the set's j-th reader. DB
+// builds one set per 64 tables when it publishes a read view, at Open and
+// after each flush, and probes it for every Get and Scan.
+type FilterSet interface {
+	// KeyMayMatch returns the mask of the readers that may hold key.
+	KeyMayMatch(key uint64) uint64
+	// RangeMayMatch returns the mask of the readers that may hold a key in
+	// [lo, hi].
+	RangeMayMatch(lo, hi uint64) uint64
+}
+
+// SetReader is an optional FilterReader extension for filters that answer
+// faster together than one by one, as bloomRF filters of one layout do:
+// they share each probe's hashes and plan. When the newest reader of up
+// to 64 tables implements it, DB builds their set with its NewSet, and
+// otherwise with ReaderSet.
+type SetReader interface {
 	FilterReader
-	// RangeMayMatchSet returns a mask whose bit j is
-	// rs[j].RangeMayMatch(lo, hi), for len(rs) ≤ 64. rs may hold readers
-	// of any policy.
-	RangeMayMatchSet(lo, hi uint64, rs []FilterReader) uint64
+	// NewSet returns the set of rs, len(rs) ≤ 64; rs may hold readers of
+	// any policy, and the set may keep rs.
+	NewSet(rs []FilterReader) FilterSet
+}
+
+// ReaderSet is the FilterSet that asks each reader in turn.
+type ReaderSet []FilterReader
+
+// KeyMayMatch implements FilterSet.
+func (rs ReaderSet) KeyMayMatch(key uint64) uint64 {
+	var m uint64
+	for j, r := range rs {
+		if r.KeyMayMatch(key) {
+			m |= 1 << j
+		}
+	}
+	return m
+}
+
+// RangeMayMatch implements FilterSet.
+func (rs ReaderSet) RangeMayMatch(lo, hi uint64) uint64 {
+	var m uint64
+	for j, r := range rs {
+		if r.RangeMayMatch(lo, hi) {
+			m |= 1 << j
+		}
+	}
+	return m
+}
+
+// newFilterSet returns the set of rs, len(rs) ≤ 64, built by the newest
+// reader's NewSet when it has one.
+func newFilterSet(rs []FilterReader) FilterSet {
+	if s, ok := rs[len(rs)-1].(SetReader); ok {
+		return s.NewSet(rs)
+	}
+	return ReaderSet(rs)
 }
 
 // ErrUnknownPolicy is returned when opening a table whose filter block was

@@ -102,9 +102,10 @@ func TestReadPathAccounting(t *testing.T) {
 		return n
 	}
 	var want Snapshot
+	tables := db.view.Load().tables
 	getTruth := func(k uint64) {
-		for i := len(db.tables) - 1; i >= 0; i-- {
-			tb := db.tables[i]
+		for i := len(tables) - 1; i >= 0; i-- {
+			tb := tables[i]
 			want.FilterProbes++
 			if !tb.filter.KeyMayMatch(k) {
 				want.FilterNegatives++
@@ -117,7 +118,7 @@ func TestReadPathAccounting(t *testing.T) {
 		}
 	}
 	scanTruth := func(lo, hi uint64) {
-		for _, tb := range db.tables {
+		for _, tb := range tables {
 			want.FilterProbes++
 			if !tb.filter.RangeMayMatch(lo, hi) {
 				want.FilterNegatives++

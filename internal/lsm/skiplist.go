@@ -12,6 +12,7 @@ package lsm
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 const maxHeight = 16
@@ -31,8 +32,11 @@ type skiplist struct {
 	mu   sync.RWMutex
 	head *skipNode
 	rng  *rand.Rand
-	n    int
-	mem  int // approximate payload bytes
+	// n is the record count. It is written under mu and read without it
+	// by get and scan, which skip an empty memtable without taking mu: a
+	// put that has not counted its record yet has not returned either.
+	n   atomic.Int64
+	mem int // approximate payload bytes
 }
 
 func newSkiplist(seed int64) *skiplist {
@@ -74,13 +78,16 @@ func (s *skiplist) put(key uint64, value []byte, tomb bool) {
 		node.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = node
 	}
-	s.n++
+	s.n.Add(1)
 	s.mem += len(value) + 16
 }
 
 // get returns the value and whether the key exists (found reports presence
 // of any record, including tombstones — tomb distinguishes).
 func (s *skiplist) get(key uint64) (value []byte, tomb, found bool) {
+	if s.n.Load() == 0 {
+		return nil, false, false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	x := s.head
@@ -98,6 +105,9 @@ func (s *skiplist) get(key uint64) (value []byte, tomb, found bool) {
 // scan calls fn for each record with lo ≤ key ≤ hi in order; fn returns
 // false to stop.
 func (s *skiplist) scan(lo, hi uint64, fn func(key uint64, value []byte, tomb bool) bool) {
+	if s.n.Load() == 0 {
+		return
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	x := s.head
@@ -117,7 +127,7 @@ func (s *skiplist) scan(lo, hi uint64, fn func(key uint64, value []byte, tomb bo
 func (s *skiplist) length() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.n
+	return int(s.n.Load())
 }
 
 // memory returns the approximate payload size.
@@ -131,7 +141,7 @@ func (s *skiplist) memory() int {
 func (s *skiplist) all() []record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]record, 0, s.n)
+	out := make([]record, 0, s.n.Load())
 	for nx := s.head.next[0]; nx != nil; nx = nx.next[0] {
 		out = append(out, record{key: nx.key, value: nx.value, tomb: nx.tomb})
 	}

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/hashutil"
@@ -248,11 +248,31 @@ type Table struct {
 	stats   *IOStats
 	// SimulatedReadLatency is charged (not slept) per block read.
 	simLatency time.Duration
+	// data is the data blocks, the file's bytes up to the index block: a
+	// read-only mapping that mapping owns, or, where mapping is
+	// unavailable or fails, a heap copy and a nil mapping. A pointer into
+	// the mapping keeps nothing alive, so a read keeps the Table reachable
+	// (runtime.KeepAlive) until its last use of data.
+	data    []byte
+	mapping *tableMapping
+}
+
+// tableMapping owns the mapping of one table's data blocks. Table.Close
+// unmaps it; a table that is never closed is unmapped by the cleanup
+// mapTable registers, once the owner is unreachable.
+type tableMapping struct {
+	mem     []byte
+	cleanup runtime.Cleanup
 }
 
 // OpenTable opens an SSTable, resolving the filter policy by name through
 // the registry and deserializing the filter block (the cost Fig. 12.G
-// reports as "Deserialization").
+// reports as "Deserialization"). Once the footer, index and filter block
+// have checked out, it maps the data blocks read-only (mapTable), or
+// reads them into the heap where it cannot. The file must not shrink
+// while the table is open: a read of a mapped page past the end of the
+// file faults the process. Tables are immutable after their commit
+// rename, so only damage from outside truncates one.
 func OpenTable(path string, reg Registry, stats *IOStats, simLatency time.Duration) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -294,7 +314,8 @@ func OpenTable(path string, reg Registry, stats *IOStats, simLatency time.Durati
 	entries := binary.LittleEndian.Uint64(foot[32:])
 	indexHash := binary.LittleEndian.Uint64(foot[40:])
 	filterHash := binary.LittleEndian.Uint64(foot[48:])
-	if indexOff+indexLen > uint64(st.Size()) || filterOff+filterLen > uint64(st.Size()) {
+	size := uint64(st.Size())
+	if indexOff > size || indexLen > size-indexOff || filterOff > size || filterLen > size-filterOff {
 		f.Close()
 		return nil, ErrCorruptTable
 	}
@@ -357,11 +378,40 @@ func OpenTable(path string, reg Registry, stats *IOStats, simLatency time.Durati
 		return nil, fmt.Errorf("lsm: filter block: %w", err)
 	}
 	t.filter = reader
+	if t.data, t.mapping, err = tableData(f, indexOff); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return t, nil
 }
 
-// Close releases the file handle.
-func (t *Table) Close() error { return t.f.Close() }
+// tableData returns the first n bytes of f: mapped where mapTable can,
+// otherwise read into the heap once.
+func tableData(f *os.File, n uint64) ([]byte, *tableMapping, error) {
+	if n == 0 {
+		return nil, nil, nil
+	}
+	if mem, owner := mapTable(f, n); owner != nil {
+		return mem, owner, nil
+	}
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, nil, err
+	}
+	return buf, nil, nil
+}
+
+// Close unmaps the data blocks and releases the file handle. No read of
+// the table may run during or after Close; DB.Close waits for its reads
+// before it closes their tables.
+func (t *Table) Close() error {
+	if m := t.mapping; m != nil {
+		t.mapping, t.data = nil, nil
+		m.cleanup.Stop()
+		unmapTable(m.mem)
+	}
+	return t.f.Close()
+}
 
 // Entries returns the record count.
 func (t *Table) Entries() uint64 { return t.entries }
@@ -369,30 +419,20 @@ func (t *Table) Entries() uint64 { return t.entries }
 // Path returns the backing file path.
 func (t *Table) Path() string { return t.path }
 
-// blockPool holds data-block buffers: a read reuses one instead of
-// allocating a block, and hands back only the values it returns, copied.
-var blockPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// readBlock fetches data block i into a pooled buffer, which the caller
-// returns with blockPool.Put once it has copied what it keeps.
-func (t *Table) readBlock(i int) (*[]byte, error) {
+// readBlock returns data block i, a slice of t.data that the caller reads
+// while it keeps t reachable. An index entry that runs past the data
+// blocks fails the read with ErrCorruptTable.
+func (t *Table) readBlock(i int) ([]byte, error) {
 	e := t.index[i]
-	bp := blockPool.Get().(*[]byte)
-	if uint64(cap(*bp)) < e.length {
-		*bp = make([]byte, e.length)
-	}
-	buf := (*bp)[:e.length]
-	*bp = buf
-	if _, err := t.f.ReadAt(buf, int64(e.off)); err != nil {
-		blockPool.Put(bp)
-		return nil, err
+	if e.off > uint64(len(t.data)) || e.length > uint64(len(t.data))-e.off {
+		return nil, fmt.Errorf("%w: block %d at %d+%d runs past the data blocks (%d bytes)", ErrCorruptTable, i, e.off, e.length, len(t.data))
 	}
 	if t.stats != nil {
 		t.stats.BlockReads.Add(1)
 		t.stats.BytesRead.Add(e.length)
 		t.stats.IOWaitNanos.Add(uint64(t.simLatency))
 	}
-	return bp, nil
+	return t.data[e.off : e.off+e.length : e.off+e.length], nil
 }
 
 // blockRecords returns the record count of a data block and the offset of
@@ -417,16 +457,21 @@ func recordAt(buf []byte, off int) (key uint64, tomb bool, v, next int, ok bool)
 	return binary.LittleEndian.Uint64(buf[off:]), buf[off+8]&flagTombstone != 0, v, next, next <= len(buf)
 }
 
-// getInBlock looks key up in data block i, the one findBlock chose. It
-// walks the whole block, so that damage after the key fails the read as
-// well, and copies only the value it returns.
+// getInBlock looks key up in data block i, the one findBlock chose.
 func (t *Table) getInBlock(i int, key uint64) (value []byte, tomb, found bool, err error) {
-	bp, err := t.readBlock(i)
+	buf, err := t.readBlock(i)
 	if err != nil {
 		return nil, false, false, err
 	}
-	defer blockPool.Put(bp)
-	buf := *bp
+	value, tomb, found, err = getInBuf(buf, key)
+	runtime.KeepAlive(t) // the owner of buf's mapping
+	return value, tomb, found, err
+}
+
+// getInBuf looks key up in one data block. It walks the whole block, so
+// that damage after the key fails the read as well, and copies only the
+// value it returns.
+func getInBuf(buf []byte, key uint64) (value []byte, tomb, found bool, err error) {
 	n, off, err := blockRecords(buf)
 	if err != nil {
 		return nil, false, false, err
@@ -477,15 +522,14 @@ func (t *Table) findBlock(key uint64) int {
 // blocks without consulting the filter: DB.Scan probes every table's
 // filter before it reads any block.
 func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
+	defer runtime.KeepAlive(t) // the owner of the blocks' mapping
 	more := true
 	for i := t.firstBlock(lo); more && i < len(t.index) && t.index[i].firstKey <= hi; i++ {
-		bp, err := t.readBlock(i)
+		buf, err := t.readBlock(i)
 		if err != nil {
 			return err
 		}
-		more, err = scanBlock(*bp, lo, hi, fn)
-		blockPool.Put(bp)
-		if err != nil {
+		if more, err = scanBlock(buf, lo, hi, fn); err != nil {
 			return err
 		}
 	}

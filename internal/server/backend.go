@@ -187,8 +187,8 @@ func readShardFilter(backend string, r io.Reader, size int64) (shardFilter, erro
 // bloomrfShard is the native backend: *core.Filter already has the whole
 // method set (its bit writes are atomic, so no extra locking), only the
 // stats accessor needs adapting. It holds the core filter rather than the
-// root package's wrapper so that hash-routed range queries can hand every
-// shard to core.MayContainRangeEach (batchexec.go); the blobs are the same.
+// root package's wrapper so that hash-routed range queries can probe every
+// shard through one core.FilterSet (batchexec.go); the blobs are the same.
 type bloomrfShard struct{ *core.Filter }
 
 func (s bloomrfShard) stats() shardStats {

@@ -369,22 +369,21 @@ func (s *ShardedFilter) MayContainRangeBatch(ranges [][2]uint64, out []bool) {
 	putScratch(sc)
 }
 
-// eachBlock is the most filters core.MayContainRangeEach takes in one
-// call; hashRanges splits larger shard tables (up to MaxShards) into blocks
-// of this size.
-const eachBlock = 64
+// setBlock is the most filters one core.FilterSet holds; hashRanges splits
+// larger shard tables (up to MaxShards) into sets of this size.
+const setBlock = 64
 
 // hashRanges answers a range batch under hash routing, where every shard
 // may hold keys of every interval: out[j] is the OR over all shards of
 // their MayContainRange(ranges[j]). The shards of a hash-routed filter are
 // built from one Config, so when they are bloomRF the range's plan — the
 // per-layer coverings, decomposition runs and word-group hashes — is the
-// same for all of them, and core.MayContainRangeEach works it out once per
-// range and probes the shards layer-major, eachBlock filters at a time.
-// Other backends answer shard by shard and stop at the first positive.
-// MayContainRange, the single-range HTTP request and every batch size reach
-// hash-routed ranges only through here, and each shard counts one range
-// probe per range, whichever shard answers first.
+// same for all of them: the batch builds one core.FilterSet per setBlock
+// shards, which works the plan out once per range and probes the shards
+// layer-major. Other backends answer shard by shard and stop at the first
+// positive. MayContainRange, the single-range HTTP request and every batch
+// size reach hash-routed ranges only through here, and each shard counts
+// one range probe per range, whichever shard answers first.
 func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bool) {
 	var buf [MaxShards]*core.Filter
 	fs := buf[:0]
@@ -400,18 +399,26 @@ func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bo
 		}
 		return
 	}
-	var each [eachBlock]bool
+	if len(fs) == 1 {
+		// No plan to share: the single-filter traversal is cheaper.
+		for j, r := range ranges {
+			out[j] = fs[0].MayContainRange(r[0], r[1])
+		}
+		return
+	}
+	// Indexed, not appended: a set points into buf, which an append that
+	// could grow would move to the heap.
+	var setBuf [MaxShards / setBlock]core.FilterSet
+	n := 0
+	for lo := 0; lo < len(fs); lo += setBlock {
+		setBuf[n] = core.NewFilterSet(fs[lo:min(lo+setBlock, len(fs))])
+		n++
+	}
+	sets := setBuf[:n]
 	for j, r := range ranges {
 		hit := false
-		for lo := 0; lo < len(fs) && !hit; lo += eachBlock {
-			blk := fs[lo:min(lo+eachBlock, len(fs))]
-			if len(blk) == 1 {
-				// No plan to share: the single-filter traversal is cheaper.
-				hit = blk[0].MayContainRange(r[0], r[1])
-				continue
-			}
-			core.MayContainRangeEach(r[0], r[1], blk, each[:len(blk)])
-			hit = slices.Contains(each[:len(blk)], true)
+		for k := 0; k < len(sets) && !hit; k++ {
+			hit = sets[k].MayContainRange(r[0], r[1]) != 0
 		}
 		out[j] = hit
 	}
