@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -74,14 +75,14 @@ func (db *DB) acquire() (*readView, *atomic.Int64) {
 // one FilterSet per 64 of them, sets[g] over tables[64g:64g+64]. A view is
 // never modified once published; a flush publishes a new one.
 type readView struct {
-	mem    *skiplist
+	mem    *memtable
 	tables []*Table
 	sets   []FilterSet
 }
 
 // withTable returns the view of v's tables and t under memtable mem. It
 // rebuilds only the last set; the others cover the same tables as in v.
-func (v *readView) withTable(t *Table, mem *skiplist) *readView {
+func (v *readView) withTable(t *Table, mem *memtable) *readView {
 	tables := append(v.tables[:len(v.tables):len(v.tables)], t)
 	g := (len(tables) - 1) / setSize
 	rs := make([]FilterReader, len(tables)-g*setSize)
@@ -113,7 +114,7 @@ func Open(opt DBOptions) (*DB, error) {
 		reg[opt.Policy.Name()] = opt.Policy
 	}
 	db := &DB{opt: opt, reg: reg}
-	view := &readView{mem: newSkiplist(1)}
+	view := &readView{mem: newMemtable()}
 	db.view.Store(view)
 	// Sweep in-flight table files a crash left behind: they never reached
 	// their commit rename, so they hold no acknowledged data.
@@ -214,9 +215,13 @@ func (db *DB) Close() error {
 // Stats exposes the shared I/O counters.
 func (db *DB) Stats() *IOStats { return &db.stats }
 
-// Put inserts or overwrites a key.
+// Put inserts or overwrites a key. The memtable keeps its own copy of
+// value.
 func (db *DB) Put(key uint64, value []byte) error {
-	return db.write(key, append([]byte(nil), value...), false)
+	if uint64(len(value)) > math.MaxUint32 {
+		return fmt.Errorf("lsm: %d-byte value exceeds the table format's 4 GiB limit", len(value))
+	}
+	return db.write(key, value, false)
 }
 
 // Delete writes a tombstone.
@@ -229,9 +234,7 @@ func (db *DB) Delete(key uint64) error {
 // the memtable is full.
 func (db *DB) write(key uint64, value []byte, tomb bool) error {
 	db.mu.RLock()
-	mem := db.view.Load().mem
-	mem.put(key, value, tomb)
-	full := mem.memory() >= db.opt.MemtableBytes
+	full := db.view.Load().mem.put(key, value, tomb) >= db.opt.MemtableBytes
 	db.mu.RUnlock()
 	if !full {
 		return nil
@@ -275,7 +278,7 @@ func (db *DB) FlushWithTiming() (time.Duration, error) {
 		return 0, err
 	}
 	db.seq++
-	db.view.Store(view.withTable(t, newSkiplist(int64(db.seq))))
+	db.view.Store(view.withTable(t, newMemtable()))
 	return w.FilterBuildTime, nil
 }
 

@@ -48,9 +48,7 @@ func (p *BloomRF) CreateFilter(keys []uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	for _, k := range keys {
-		f.Insert(k)
-	}
+	f.InsertBatch(keys)
 	return f.MarshalBinary()
 }
 

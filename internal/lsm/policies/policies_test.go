@@ -1,10 +1,12 @@
 package policies_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/lsm"
 	"repro/internal/lsm/policies"
 )
@@ -287,6 +289,47 @@ func TestForBackend(t *testing.T) {
 	for _, b := range []string{"", "cuckoo", "BLOOMRF", "prefixbf"} {
 		if _, err := policies.ForBackend(b, 16, 0); err == nil {
 			t.Fatalf("ForBackend(%q) accepted", b)
+		}
+	}
+}
+
+// TestCreateFilterMatchesInsert holds the batched bloomRF build to the
+// per-key one byte for byte, over basic and tuned layouts, table sizes
+// from one key to one lsm-empty-scan table, point and range tunings and
+// two filter sizes.
+func TestCreateFilterMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, basic := range []bool{false, true} {
+		for _, n := range []int{1, 64, 20972} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64()
+			}
+			for _, maxRange := range []float64{0, 1 << 10, 1 << 20} {
+				for _, bpk := range []float64{10, 16} {
+					p := &policies.BloomRF{BitsPerKey: bpk, MaxRange: maxRange, Basic: basic}
+					got, err := p.CreateFilter(keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var f *core.Filter
+					if basic {
+						f = core.NewBasic(uint64(n), bpk)
+					} else if f, _, err = core.NewTuned(core.TuneOptions{N: uint64(n), BitsPerKey: bpk, MaxRange: maxRange}); err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range keys {
+						f.Insert(k)
+					}
+					want, err := f.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("basic=%v n=%d R=%g bits/key=%g: CreateFilter's %d bytes differ from the per-key Insert's %d", basic, n, maxRange, bpk, len(got), len(want))
+					}
+				}
+			}
 		}
 	}
 }

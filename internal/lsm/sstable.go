@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -63,6 +64,8 @@ var ErrUnsupportedTableVersion = errors.New("lsm: unsupported sstable format ver
 // at any earlier point leaves no *.sst behind.
 type TableWriter struct {
 	f         *os.File
+	bw        *bufio.Writer // buffers every write to f
+	hdr       [4]byte       // the block header being written
 	path      string
 	policy    FilterPolicy
 	blockSize int
@@ -95,8 +98,12 @@ func NewTableWriter(path string, policy FilterPolicy, blockSize int) (*TableWrit
 	if err != nil {
 		return nil, err
 	}
-	return &TableWriter{f: f, path: path, policy: policy, blockSize: blockSize}, nil
+	return &TableWriter{f: f, bw: bufio.NewWriterSize(f, writeBufSize), path: path, policy: policy, blockSize: blockSize}, nil
 }
+
+// writeBufSize is the write buffer of a TableWriter: one write syscall
+// per 16 default-size blocks.
+const writeBufSize = 64 << 10
 
 // tmpSuffix marks in-flight table files; DB.Open sweeps leftovers.
 const tmpSuffix = ".tmp"
@@ -133,13 +140,16 @@ func (w *TableWriter) flushBlock() error {
 	if w.blockN == 0 {
 		return nil
 	}
-	hdr := binary.LittleEndian.AppendUint32(nil, w.blockN)
-	block := append(hdr, w.blockBuf...)
-	if _, err := w.f.Write(block); err != nil {
+	binary.LittleEndian.PutUint32(w.hdr[:], w.blockN)
+	if _, err := w.bw.Write(w.hdr[:]); err != nil {
 		return err
 	}
-	w.index = append(w.index, indexEntry{w.firstKey, w.lastKey, w.off, uint64(len(block))})
-	w.off += uint64(len(block))
+	if _, err := w.bw.Write(w.blockBuf); err != nil {
+		return err
+	}
+	n := uint64(len(w.hdr) + len(w.blockBuf))
+	w.index = append(w.index, indexEntry{w.firstKey, w.lastKey, w.off, n})
+	w.off += n
 	w.blockBuf = w.blockBuf[:0]
 	w.blockN = 0
 	w.haveFirst = false
@@ -160,7 +170,7 @@ func (w *TableWriter) Finish() error {
 		idx = binary.LittleEndian.AppendUint64(idx, e.length)
 	}
 	indexOff := w.off
-	if _, err := w.f.Write(idx); err != nil {
+	if _, err := w.bw.Write(idx); err != nil {
 		return err
 	}
 	w.off += uint64(len(idx))
@@ -176,7 +186,7 @@ func (w *TableWriter) Finish() error {
 	fb := append([]byte{byte(len(name))}, name...)
 	fb = append(fb, payload...)
 	filterOff := w.off
-	if _, err := w.f.Write(fb); err != nil {
+	if _, err := w.bw.Write(fb); err != nil {
 		return err
 	}
 	w.off += uint64(len(fb))
@@ -191,7 +201,10 @@ func (w *TableWriter) Finish() error {
 	foot = binary.LittleEndian.AppendUint64(foot, hashutil.HashBytes(idx, tableMagic))
 	foot = binary.LittleEndian.AppendUint64(foot, hashutil.HashBytes(fb, tableMagic))
 	foot = binary.LittleEndian.AppendUint64(foot, hashutil.HashBytes(foot, tableMagic))
-	if _, err := w.f.Write(foot); err != nil {
+	if _, err := w.bw.Write(foot); err != nil {
+		return err
+	}
+	if err := w.bw.Flush(); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
