@@ -3,6 +3,8 @@ package core
 import (
 	"math/bits"
 	"runtime"
+	"slices"
+	"sync/atomic"
 )
 
 // Paths of the two-path range lookup. Algorithm 1 follows one prefix path
@@ -216,20 +218,32 @@ const maxSet = 64
 // segment sizes) share the hash's reduction to a word index too, so that
 // each costs one word load per check. The others answer alone.
 //
+// A set of filters that never change again (NewFrozenFilterSet) may also
+// keep one lane word per exact prefix, as a bit-sliced signature file
+// does: bit j of lane p is fs[j]'s exact bit p, for the filters that share
+// the plan. The exact layer's covering is then one load for all of them,
+// where it is one load per filter otherwise.
+//
 // Build a set once for a fixed list of filters and probe it many times:
 // NewFilterSet decides which filters share what, and a probe allocates
-// nothing. Probes are safe for concurrent use with each other and with
-// Insert.
+// nothing. Probes are safe for concurrent use with each other, and, in a
+// set made by NewFilterSet, with Insert.
 type FilterSet struct {
 	fs []*Filter
 	// shared has bit j for each fs[j] that shares fs[0]'s plans, and
 	// sameGeo for each of those that also shares its word indexes; others
 	// is the rest.
 	shared, sameGeo, others uint64
+	// The lanes of a frozen set, one per exact prefix: 32 bits wide for up
+	// to 32 filters and 64 bits above, in lanes32 or lanes64. A set has
+	// none when it is live, when its plan has no exact layer, or when the
+	// lanes would take more memory than its shared filters.
+	lanes32 []uint32
+	lanes64 []uint64
 }
 
 // NewFilterSet returns the set of fs, which it keeps; it panics for more
-// than 64 filters.
+// than 64 filters. The filters may take inserts while the set probes them.
 func NewFilterSet(fs []*Filter) FilterSet {
 	if len(fs) > maxSet {
 		panic("core: a FilterSet holds at most 64 filters")
@@ -248,6 +262,117 @@ func NewFilterSet(fs []*Filter) FilterSet {
 	}
 	return s
 }
+
+// NewFrozenFilterSet returns the set of fs, as NewFilterSet does, for
+// filters that never change again: every Insert into them must have
+// returned before the call, and none may follow while the set is in use.
+// The set copies the shared filters' exact bitmaps into lanes when that
+// takes no more memory than the filters themselves, so a later insert
+// would be missed: a probe could answer false for a key it added. The
+// filters of a committed LSM table qualify; a server shard does not.
+func NewFrozenFilterSet(fs []*Filter) FilterSet {
+	s := NewFilterSet(fs)
+	if s.wantLanes() {
+		for m := s.shared; m != 0; m &= m - 1 {
+			s.addLane(bits.TrailingZeros64(m))
+		}
+	}
+	return s
+}
+
+// With returns NewFrozenFilterSet of s's filters and g, which are bound by
+// its contract, and leaves s as it is. Where s has lanes, the new set's
+// are a copy, widened when the set grows past 32 filters, with g's exact
+// bits added; only where s has none are they built from all the filters.
+// It panics when s already holds 64 filters.
+func (s *FilterSet) With(g *Filter) FilterSet {
+	fs := append(s.fs[:len(s.fs):len(s.fs)], g)
+	if !s.hasLanes() {
+		return NewFrozenFilterSet(fs)
+	}
+	t := NewFilterSet(fs)
+	if !t.wantLanes() {
+		return t
+	}
+	if len(fs) <= 32 {
+		t.lanes32 = slices.Clone(s.lanes32)
+	} else {
+		t.lanes64 = make([]uint64, fs[0].exact.size())
+		for p := range t.lanes64 {
+			t.lanes64[p] = s.lane(uint64(p))
+		}
+	}
+	if j := len(fs) - 1; t.shared&(1<<j) != 0 {
+		t.addLane(j)
+	}
+	return t
+}
+
+// Len returns the number of filters in s.
+func (s *FilterSet) Len() int { return len(s.fs) }
+
+// laneBudget is how many times the memory of its shared filters a frozen
+// set's lanes may take. Tests raise it so that small sets carry lanes too.
+var laneBudget uint64 = 1
+
+// wantLanes reports whether s, a frozen set, should keep lanes: its plan
+// has an exact layer, and the lanes take no more than laneBudget times the
+// memory of the filters that share it.
+func (s *FilterSet) wantLanes() bool {
+	f := s.fs[0]
+	if !f.hasExact {
+		return false
+	}
+	var filterBits uint64
+	for m := s.shared; m != 0; m &= m - 1 {
+		filterBits += s.fs[bits.TrailingZeros64(m)].SizeBits()
+	}
+	width := uint64(32)
+	if len(s.fs) > 32 {
+		width = 64
+	}
+	return f.exact.size()*width <= laneBudget*filterBits
+}
+
+// addLane ORs the exact bits of fs[j] into bit j of the lanes, which it
+// makes when s has none yet.
+func (s *FilterSet) addLane(j int) {
+	size := s.fs[0].exact.size()
+	if len(s.fs) <= 32 && s.lanes32 == nil {
+		s.lanes32 = make([]uint32, size)
+	} else if len(s.fs) > 32 && s.lanes64 == nil {
+		s.lanes64 = make([]uint64, size)
+	}
+	ex := &s.fs[j].exact
+	for i := range ex.words {
+		for w := atomic.LoadUint64(&ex.words[i]); w != 0; w &= w - 1 {
+			p := uint64(i)<<6 | uint64(bits.TrailingZeros64(w))
+			if s.lanes32 != nil {
+				s.lanes32[p] |= 1 << j
+			} else {
+				s.lanes64[p] |= 1 << j
+			}
+		}
+	}
+	runtime.KeepAlive(s.fs[j])
+}
+
+// hasLanes reports whether s keeps lanes.
+func (s *FilterSet) hasLanes() bool { return s.lanes32 != nil || s.lanes64 != nil }
+
+// lane returns the lane of exact prefix p, in a set that has lanes: bit j
+// is fs[j]'s exact bit p for each filter that shares the plan.
+func (s *FilterSet) lane(p uint64) uint64 {
+	if s.lanes32 != nil {
+		return uint64(s.lanes32[p])
+	}
+	return s.lanes64[p]
+}
+
+// laneRunMax is the longest run of exact prefixes that runEach tests in
+// the lanes, one load per prefix for all filters. A longer run is tested
+// in each filter's bitmap, which holds 64 prefixes per word.
+const laneRunMax = 64
 
 // MayContain returns the mask of the filters in s that may hold x: bit j
 // is fs[j].MayContain(x). The shared filters test the exact layer, then
@@ -349,6 +474,9 @@ func (f *Filter) execEach(p rangePlan, s *FilterSet) uint64 {
 func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
 	if i == f.k {
+		if s.hasLanes() {
+			return cand & s.lane(prefix)
+		}
 		// Branch-free, so that the filters' word loads overlap.
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
@@ -386,6 +514,13 @@ func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) u
 func (f *Filter) runEach(i int, pa, pb uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
 	if i == f.k {
+		if s.hasLanes() && pb-pa < laneRunMax {
+			var any uint64
+			for p := pa; p <= pb; p++ {
+				any |= s.lane(p)
+			}
+			return cand & any
+		}
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			if !fs[j].exact.anySet(pa, pb) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -178,24 +179,54 @@ func (f *Filter) levelAtRef(i int) uint {
 type planFamily struct {
 	same    []*Filter
 	foreign *Filter
-	keys    []uint64 // some of the keys in same[0], for positive point probes
+	keys    []uint64  // some of the keys in same[0], for positive point probes
+	sets    []famSets // built once by planFamilies
 }
 
-// sets returns the filter lists checkPlan and checkPoint probe as one
-// FilterSet: same; same with the foreign filter first, in the middle and
-// last; and 64 filters that cycle through all of them, so that the
-// foreign one sits at bit 63.
-func (fam planFamily) sets() [][]*Filter {
-	sets := [][]*Filter{fam.same}
+// famSets holds the three sets checkPlan and checkPoint probe over one
+// list of a family's filters: NewFilterSet(fs), NewFrozenFilterSet(fs),
+// and the frozen set of fs[:len(fs)-1] grown by With(fs[len(fs)-1]). The
+// frozen sets are built with laneBudget raised, so that they carry lanes
+// whenever fs[0] has an exact layer.
+type famSets struct {
+	fs                  []*Filter
+	live, frozen, grown FilterSet
+}
+
+// setLists returns the filter lists a family is probed as one FilterSet
+// over: same; same with the foreign filter first, in the middle and last;
+// and 2, 16, 32, 33 and 64 filters that cycle through all of them, so that
+// both lane widths come up and the foreign one sits at bit 63.
+func (fam planFamily) setLists() [][]*Filter {
+	lists := [][]*Filter{fam.same}
 	for at := 0; at <= len(fam.same); at += 2 {
-		sets = append(sets, append(append(append([]*Filter(nil), fam.same[:at]...), fam.foreign), fam.same[at:]...))
+		lists = append(lists, append(append(append([]*Filter(nil), fam.same[:at]...), fam.foreign), fam.same[at:]...))
 	}
 	all := append(append([]*Filter(nil), fam.same...), fam.foreign)
-	wide := make([]*Filter, maxSet)
-	for j := range wide {
-		wide[j] = all[(j+1)%len(all)]
+	for _, n := range []int{2, 16, 32, 33, maxSet} {
+		cycle := make([]*Filter, n)
+		for j := range cycle {
+			cycle[j] = all[(j+1)%len(all)]
+		}
+		lists = append(lists, cycle)
 	}
-	return append(sets, wide)
+	return lists
+}
+
+// buildSets builds the famSets of every list of fam.setLists.
+func (fam *planFamily) buildSets() {
+	defer func(b uint64) { laneBudget = b }(laneBudget)
+	laneBudget = 1 << 20
+	fam.sets = nil
+	for _, fs := range fam.setLists() {
+		start := NewFrozenFilterSet(fs[:len(fs)-1])
+		fam.sets = append(fam.sets, famSets{
+			fs:     fs,
+			live:   NewFilterSet(fs),
+			frozen: NewFrozenFilterSet(fs),
+			grown:  start.With(fs[len(fs)-1]),
+		})
+	}
 }
 
 // checkSet compares each set of fam.sets with its filters' own answers,
@@ -207,16 +238,21 @@ func checkSet(t *testing.T, fam planFamily, what string, probe func(*Filter) boo
 	for _, f := range fam.same {
 		want[f] = probe(f)
 	}
-	for n, fs := range fam.sets() {
+	for n, fss := range fam.sets {
 		var wantMask uint64
-		for j, f := range fs {
+		for j, f := range fss.fs {
 			if want[f] {
 				wantMask |= 1 << j
 			}
 		}
-		set := NewFilterSet(fs)
-		if got := mask(&set); got != wantMask {
-			t.Fatalf("set %d of %d filters: %s = %#x, the filters' own answers %#x", n, len(fs), what, got, wantMask)
+		for _, c := range []struct {
+			kind string
+			set  *FilterSet
+		}{{"live", &fss.live}, {"frozen", &fss.frozen}, {"grown", &fss.grown}} {
+			if got := mask(c.set); got != wantMask {
+				t.Fatalf("%s set %d of %d filters (lanes: %v): %s = %#x, the filters' own answers %#x",
+					c.kind, n, len(fss.fs), c.set.hasLanes(), what, got, wantMask)
+			}
 		}
 	}
 }
@@ -289,6 +325,7 @@ func planFamilies(tb testing.TB) []planFamily {
 		if i == 1 {
 			fam.same = append(fam.same, build(regrouped, 200))
 		}
+		fam.buildSets()
 		fams = append(fams, fam)
 	}
 	return fams
@@ -297,7 +334,7 @@ func planFamilies(tb testing.TB) []planFamily {
 // checkPlan compares every way of running a range probe with the
 // reference: MayContainRange, a plan made for one filter executed against
 // each filter of its layout, and FilterSet.MayContainRange over every set
-// of fam.sets.
+// of fam.sets, with lanes and without.
 func checkPlan(t *testing.T, fam planFamily, lo, hi uint64) {
 	t.Helper()
 	for j, f := range append([]*Filter{fam.foreign}, fam.same...) {
@@ -362,6 +399,11 @@ func TestRangePlanMatchesReference(t *testing.T) {
 				t.Fatalf("family %d: filter %d shares filter 0's geometry: %v", i, j+1, sameGeo)
 			}
 		}
+		for n, fss := range fam.sets {
+			// Built with laneBudget raised: lanes wherever there is an
+			// exact layer.
+			checkLanes(t, fmt.Sprintf("family %d, set %d", i, n), fss, fss.fs[0].hasExact)
+		}
 		d := uint(fam.same[0].domain)
 		for trial := 0; trial < 3000; trial++ {
 			lo := rng.Uint64() & lowMask(d)
@@ -374,6 +416,96 @@ func TestRangePlanMatchesReference(t *testing.T) {
 			checkPoint(t, fam, lo)
 			checkPoint(t, fam, fam.keys[trial%len(fam.keys)])
 		}
+	}
+}
+
+// checkLanes checks the lanes of one famSets: the live set has none; the
+// frozen set has them exactly when want says, 32 bits wide for up to 32
+// filters and 64 above; and the grown set is the frozen one, field by
+// field.
+func checkLanes(t *testing.T, what string, fss famSets, want bool) {
+	t.Helper()
+	if fss.live.hasLanes() {
+		t.Fatalf("%s: a live set has lanes", what)
+	}
+	fr, gr := &fss.frozen, &fss.grown
+	if fr.hasLanes() != want {
+		t.Fatalf("%s: frozen set has lanes %v, want %v", what, fr.hasLanes(), want)
+	}
+	if fr.hasLanes() && (fr.lanes32 != nil) != (len(fss.fs) <= 32) {
+		t.Fatalf("%s: %d filters in 32-bit lanes: %v", what, len(fss.fs), fr.lanes32 != nil)
+	}
+	if !slices.Equal(fr.lanes32, gr.lanes32) || !slices.Equal(fr.lanes64, gr.lanes64) ||
+		fr.shared != gr.shared || fr.sameGeo != gr.sameGeo || fr.others != gr.others {
+		t.Fatalf("%s: the grown set differs from the one built at once", what)
+	}
+}
+
+// TestFrozenSetLaneBudget builds frozen sets of up to 40 tuned filters
+// sized as LSM tables are, one filter at a time with With: a set keeps
+// lanes from the size where they take no more memory than its filters,
+// each equals the set built at once, and a live set never has lanes.
+func TestFrozenSetLaneBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var fs []*Filter
+	var stored []uint64 // some keys of every filter, for positive probes
+	var grown FilterSet
+	first := 0 // the size of the first set with lanes
+	for n := 1; n <= 40; n++ {
+		f, _, err := NewTuned(TuneOptions{N: 20_000, BitsPerKey: 16, MaxRange: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20_000; i++ {
+			x := rng.Uint64()
+			f.Insert(x)
+			if i%1000 == 0 {
+				stored = append(stored, x)
+			}
+		}
+		if !f.hasExact {
+			t.Fatal("the tuned layout has no exact layer")
+		}
+		fs = append(fs, f)
+		if n == 1 {
+			grown = NewFrozenFilterSet(fs)
+		} else {
+			grown = grown.With(f)
+		}
+		at := NewFrozenFilterSet(fs)
+		live := NewFilterSet(fs)
+		if live.hasLanes() {
+			t.Fatalf("%d filters: a live set has lanes", n)
+		}
+		width := uint64(32)
+		if n > 32 {
+			width = 64
+		}
+		var filterBits uint64
+		for _, g := range fs {
+			filterBits += g.SizeBits()
+		}
+		want := f.exact.size()*width <= filterBits
+		if want && first == 0 {
+			first = n
+		}
+		checkLanes(t, fmt.Sprintf("%d filters", n), famSets{fs: fs, live: live, frozen: at, grown: grown}, want)
+		for q := 0; q < 200; q++ {
+			x := rng.Uint64()
+			if q%2 == 1 {
+				x = stored[q%len(stored)]
+			}
+			if got, want := grown.MayContain(x), live.MayContain(x); got != want {
+				t.Fatalf("%d filters: MayContain(%#x) = %#x, live set %#x", n, x, got, want)
+			}
+			if got, want := grown.MayContainRange(x, x+1<<10), live.MayContainRange(x, x+1<<10); got != want {
+				t.Fatalf("%d filters: MayContainRange(%#x, +2^10) = %#x, live set %#x", n, x, got, want)
+			}
+		}
+	}
+	t.Logf("lanes from %d filters on, %d exact prefixes", first, fs[0].exact.size())
+	if first <= 1 || first > 32 {
+		t.Fatalf("lanes first kept at %d filters, want between 2 and 32", first)
 	}
 }
 

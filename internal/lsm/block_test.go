@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -108,11 +109,172 @@ func TestDataBlockCorruption(t *testing.T) {
 			if _, err := db.Scan(first, last+10); !errors.Is(err, ErrCorruptTable) {
 				t.Errorf("Scan(%d, %d): err = %v, want ErrCorruptTable", first, last+10, err)
 			}
-			// The next block is intact.
+			// The next block is intact, and its read marks it sound.
 			if v, found, err := db.Get(last + 1); err != nil || !found || !bytes.Equal(v, blockValue(last+1)) {
 				t.Errorf("Get(%d) past the damaged block = %x, %v, %v", last+1, v, found, err)
 			}
+			tb := db.view.Load().tables[0]
+			if !tb.sound[1].Load() || tb.sound[0].Load() {
+				t.Fatalf("block soundness after the reads: damaged %v, intact %v", tb.sound[0].Load(), tb.sound[1].Load())
+			}
+			// A second read of the damaged block, after a sound block of
+			// its table was read, fails as the first did, also where it
+			// could stop before the damage.
+			for _, k := range []uint64{first, first + 1} {
+				if _, _, err := db.Get(k); !errors.Is(err, ErrCorruptTable) {
+					t.Errorf("second Get(%d): err = %v, want ErrCorruptTable", k, err)
+				}
+				if _, err := db.Scan(k, k); !errors.Is(err, ErrCorruptTable) {
+					t.Errorf("second Scan(%d, %d): err = %v, want ErrCorruptTable", k, k, err)
+				}
+			}
 		})
+	}
+}
+
+// TestSoundBlockReads reads every block of a table of the keys 1..4000
+// that are not multiples of 4 three times: a Get of each block's first,
+// middle and last key and of the keys beside them, and Scans within a
+// block, across a block boundary and of absent keys. The first pass walks
+// each block whole and marks it sound; the later passes, which stop at the
+// first key past the target, must give the same answers, and all must
+// match what is stored.
+func TestSoundBlockReads(t *testing.T) {
+	// The lossy filter passes the absent keys too, so that their reads
+	// walk the blocks.
+	db, err := Open(DBOptions{Dir: t.TempDir(), Policy: coarsePolicy{}, MemtableBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stored := func(k uint64) bool { return k >= 1 && k <= 4000 && k%4 != 0 }
+	for k := uint64(1); k <= 4000; k++ {
+		if !stored(k) {
+			continue
+		}
+		if err := db.Put(k, blockValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tb := db.view.Load().tables[0]
+	if len(tb.index) < 3 {
+		t.Fatalf("%d blocks, want several", len(tb.index))
+	}
+	var gets []uint64
+	var scans [][2]uint64
+	for i, e := range tb.index {
+		mid := (e.firstKey + e.lastKey) / 2
+		for _, k := range []uint64{e.firstKey, mid, e.lastKey} {
+			gets = append(gets, k-1, k, k+1)
+		}
+		scans = append(scans, [2]uint64{e.firstKey, e.firstKey}, [2]uint64{mid - 3, mid + 3},
+			[2]uint64{mid &^ 3, mid &^ 3}, [2]uint64{e.firstKey, e.lastKey})
+		if i+1 < len(tb.index) {
+			scans = append(scans, [2]uint64{e.lastKey - 4, tb.index[i+1].firstKey + 4})
+		}
+	}
+	type answer struct {
+		val   []byte
+		found bool
+		kvs   []KV
+	}
+	pass := func() []answer {
+		var out []answer
+		for _, k := range gets {
+			v, found, err := db.Get(k)
+			if err != nil {
+				t.Fatalf("Get(%d): %v", k, err)
+			}
+			if want := stored(k); found != want || found && !bytes.Equal(v, blockValue(k)) {
+				t.Fatalf("Get(%d) = %x, %v; stored %v", k, v, found, want)
+			}
+			out = append(out, answer{val: v, found: found})
+		}
+		for _, r := range scans {
+			kvs, err := db.Scan(r[0], r[1])
+			if err != nil {
+				t.Fatalf("Scan(%d, %d): %v", r[0], r[1], err)
+			}
+			var want []uint64
+			for k := r[0]; k <= r[1]; k++ {
+				if stored(k) {
+					want = append(want, k)
+				}
+			}
+			if len(kvs) != len(want) {
+				t.Fatalf("Scan(%d, %d) = %d records, %d stored", r[0], r[1], len(kvs), len(want))
+			}
+			for j, kv := range kvs {
+				if kv.Key != want[j] || !bytes.Equal(kv.Value, blockValue(kv.Key)) {
+					t.Fatalf("Scan(%d, %d) record %d = %d:%x, want %d", r[0], r[1], j, kv.Key, kv.Value, want[j])
+				}
+			}
+			out = append(out, answer{kvs: kvs})
+		}
+		return out
+	}
+	// Every Scan reads a block, and so does every Get of a key inside a
+	// block's span.
+	want := uint64(len(scans))
+	for _, k := range gets {
+		if tb.findBlock(k) >= 0 {
+			want++
+		}
+	}
+	reads := db.Stats().BlockReads.Load()
+	whole := pass()
+	if n := db.Stats().BlockReads.Load() - reads; n < want {
+		t.Fatalf("a pass read %d blocks, want at least %d", n, want)
+	}
+	for i := range tb.index {
+		if !tb.sound[i].Load() {
+			t.Fatalf("block %d is not marked sound after its reads", i)
+		}
+	}
+	for p := 0; p < 2; p++ {
+		if later := pass(); !reflect.DeepEqual(later, whole) {
+			t.Fatalf("pass %d over sound blocks answers otherwise than the whole walks", p+2)
+		}
+	}
+}
+
+// TestFreshBlocksRaceReads starts readers at once on tables no read has
+// touched, so that several first reads walk the same blocks whole and mark
+// them sound together; every answer must be what is stored. Run it under
+// the race detector.
+func TestFreshBlocksRaceReads(t *testing.T) {
+	db := readsDB(t)
+	const readers = 4
+	start := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			<-start
+			for i := uint64(0); i < 400; i++ {
+				x := i * 10 % 3900 // every reader reads the same keys in the same order
+				if _, _, err := heldReads(db, x); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	close(start)
+	for range readers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for _, tb := range db.view.Load().tables {
+		for i := range tb.index {
+			if !tb.sound[i].Load() {
+				t.Errorf("%s block %d is not marked sound", tb.Path(), i)
+			}
+		}
 	}
 }
 

@@ -52,6 +52,9 @@ type DB struct {
 	seq         int
 	stats       IOStats
 	quarantined []string
+	// probeOps counts the Gets and Scans that probe the filters; timeOp
+	// samples the probe clock by it.
+	probeOps atomic.Uint64
 
 	// readers counts the Gets and Scans in flight, each in the slot of
 	// epoch's parity when it started (acquire). Close publishes a view
@@ -80,8 +83,10 @@ type readView struct {
 	sets   []FilterSet
 }
 
-// withTable returns the view of v's tables and t under memtable mem. It
-// rebuilds only the last set; the others cover the same tables as in v.
+// withTable returns the view of v's tables and t under memtable mem. Only
+// the last set changes: it extends v's last set by t when that covers
+// fewer than 64 tables, and starts a new set otherwise. The others cover
+// the same tables as in v.
 func (v *readView) withTable(t *Table, mem *memtable) *readView {
 	tables := append(v.tables[:len(v.tables):len(v.tables)], t)
 	g := (len(tables) - 1) / setSize
@@ -89,7 +94,11 @@ func (v *readView) withTable(t *Table, mem *memtable) *readView {
 	for i, t := range tables[g*setSize:] {
 		rs[i] = t.filter
 	}
-	sets := append(v.sets[:g:g], newFilterSet(rs))
+	var prev FilterSet
+	if g < len(v.sets) {
+		prev = v.sets[g]
+	}
+	sets := append(v.sets[:g:g], newFilterSet(rs, prev))
 	return &readView{mem: mem, tables: tables, sets: sets}
 }
 
@@ -283,7 +292,7 @@ func (db *DB) FlushWithTiming() (time.Duration, error) {
 }
 
 // Get returns the newest value for key. It probes the filters of up to 64
-// tables at once, timed by one clock pair, then walks those tables
+// tables at once, timed on a sampled op (timeOp), then walks those tables
 // newest-first and reads a block only behind a positive filter. It counts
 // a probe, and a negative, only for the tables it walks.
 func (db *DB) Get(key uint64) ([]byte, bool, error) {
@@ -296,11 +305,16 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 		return val, true, nil
 	}
 	var probes, negatives uint64
-	var probeTime time.Duration
+	var probeTime, start time.Duration
+	timed := db.timeOp()
 	for g := len(v.sets) - 1; g >= 0; g-- {
-		start := monotonic()
+		if timed {
+			start = monotonic()
+		}
 		pass := v.sets[g].KeyMayMatch(key)
-		probeTime += monotonic() - start
+		if timed {
+			probeTime += monotonic() - start
+		}
 		base := g * setSize
 		for i := min(base+setSize, len(v.tables)) - 1; i >= base; i-- {
 			probes++
@@ -315,7 +329,7 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 			}
 			val, tomb, found, err := t.getInBlock(b, key)
 			if err != nil || found {
-				db.stats.addProbes(probes, negatives, probeTime)
+				db.stats.addProbes(probes, negatives, timed, probeTime)
 				if err != nil || tomb {
 					return nil, false, err
 				}
@@ -323,8 +337,15 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 			}
 		}
 	}
-	db.stats.addProbes(probes, negatives, probeTime)
+	db.stats.addProbes(probes, negatives, timed, probeTime)
 	return nil, false, nil
+}
+
+// timeOp reports whether the op that calls it, one that probes the
+// filters, reads the clock: the DB's first such op does, and every
+// 2^probeSampleShift-th after it.
+func (db *DB) timeOp() bool {
+	return (db.probeOps.Add(1)-1)&(1<<probeSampleShift-1) == 0
 }
 
 // clockBase anchors monotonic: time.Since on a time with a monotonic
@@ -344,8 +365,8 @@ type KV struct {
 // key, in ascending key order. Filters let the scan skip SSTables whose
 // key ranges cannot intersect the query — the mechanism the paper's
 // Workload E experiments measure end to end. The scan probes every
-// table's filter first, timed once for the op, and only then reads the
-// blocks of the tables that passed.
+// table's filter first, timed once on a sampled op (timeOp), and only
+// then reads the blocks of the tables that passed.
 func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	if lo > hi {
 		lo, hi = hi, lo
@@ -363,16 +384,22 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	// key in [lo, hi].
 	var passBuf [4]uint64
 	pass := passBuf[:0]
-	start := monotonic()
+	var start, probeTime time.Duration
+	timed := db.timeOp()
+	if timed {
+		start = monotonic()
+	}
 	for _, set := range v.sets {
 		pass = append(pass, set.RangeMayMatch(lo, hi))
 	}
-	probeTime := monotonic() - start
+	if timed {
+		probeTime = monotonic() - start
+	}
 	survivors := 0
 	for _, m := range pass {
 		survivors += bits.OnesCount64(m)
 	}
-	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), probeTime)
+	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), timed, probeTime)
 
 	// Data pass: per-source sorted streams, memtable (newest) then the
 	// surviving tables newest-first that yield a record. Priority = source

@@ -9,22 +9,35 @@ import (
 // filter probe time, filter-block deserialization time, (simulated) I/O
 // wait, block reads and filter verdicts. All counters are atomic; one
 // IOStats instance is shared by a DB and its tables.
+//
+// The counts are exact. The probe time is an estimate: the first op that
+// probes the filters, and every 2^probeSampleShift-th after it, reads the
+// clock, and each of those TimedOps adds its probe time scaled by
+// 2^probeSampleShift to FilterProbeNanos.
 type IOStats struct {
 	BlockReads       atomic.Uint64
 	BytesRead        atomic.Uint64
 	FilterProbes     atomic.Uint64
 	FilterNegatives  atomic.Uint64
-	FilterProbeNanos atomic.Uint64
+	FilterProbeNanos atomic.Uint64 // estimated: TimedOps' probe time, scaled
+	TimedOps         atomic.Uint64
 	DeserNanos       atomic.Uint64
 	IOWaitNanos      atomic.Uint64 // simulated: BlockReads × SimulatedReadLatency
 }
 
-// addProbes records one op's filter probes: how many, how many answered
-// no, and the time they took together.
-func (s *IOStats) addProbes(probes, negatives uint64, d time.Duration) {
+// probeSampleShift is k of the probe clock's sampling: one op in 2^k is
+// timed.
+const probeSampleShift = 6
+
+// addProbes records one op's filter probes: how many and how many answered
+// no, and, for a timed op, the time they took together.
+func (s *IOStats) addProbes(probes, negatives uint64, timed bool, d time.Duration) {
 	s.FilterProbes.Add(probes)
 	s.FilterNegatives.Add(negatives)
-	s.FilterProbeNanos.Add(uint64(d))
+	if timed {
+		s.TimedOps.Add(1)
+		s.FilterProbeNanos.Add(uint64(d) << probeSampleShift)
+	}
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -33,7 +46,8 @@ type Snapshot struct {
 	BytesRead       uint64
 	FilterProbes    uint64
 	FilterNegatives uint64
-	FilterProbeTime time.Duration
+	FilterProbeTime time.Duration // estimated from TimedOps ops
+	TimedOps        uint64
 	DeserTime       time.Duration
 	IOWaitTime      time.Duration
 }
@@ -46,6 +60,7 @@ func (s *IOStats) Snapshot() Snapshot {
 		FilterProbes:    s.FilterProbes.Load(),
 		FilterNegatives: s.FilterNegatives.Load(),
 		FilterProbeTime: time.Duration(s.FilterProbeNanos.Load()),
+		TimedOps:        s.TimedOps.Load(),
 		DeserTime:       time.Duration(s.DeserNanos.Load()),
 		IOWaitTime:      time.Duration(s.IOWaitNanos.Load()),
 	}
@@ -59,6 +74,7 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		FilterProbes:    a.FilterProbes - b.FilterProbes,
 		FilterNegatives: a.FilterNegatives - b.FilterNegatives,
 		FilterProbeTime: a.FilterProbeTime - b.FilterProbeTime,
+		TimedOps:        a.TimedOps - b.TimedOps,
 		DeserTime:       a.DeserTime - b.DeserTime,
 		IOWaitTime:      a.IOWaitTime - b.IOWaitTime,
 	}

@@ -166,6 +166,53 @@ func TestReadPathAccounting(t *testing.T) {
 	}
 }
 
+// TestProbeClockSampling runs a fixed mix of Gets and Scans that all probe
+// the filters and checks the sampled probe clock: the first op and one op
+// in 64 after it are timed, so N ops give ⌈N/64⌉ timed ops, the estimated
+// probe time is positive, and the probe counts stay exact.
+func TestProbeClockSampling(t *testing.T) {
+	db, err := Open(DBOptions{Dir: t.TempDir(), Policy: exactPolicy{}, MemtableBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for tbl := uint64(0); tbl < 3; tbl++ {
+		for k := tbl; k < 3000; k += 3 {
+			if err := db.Put(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const tables = 3
+	// After the runs, 1, 63, 64, 65 and 1000 ops have run in all.
+	var ops uint64
+	for _, n := range []uint64{1, 62, 1, 1, 935} {
+		for i := ops; i < ops+n; i++ {
+			if i%3 == 0 {
+				if _, err := db.Scan(5000+i, 5100+i); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, _, err := db.Get(5000 + i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops += n
+		got := db.Stats().Snapshot()
+		if want := (ops + 63) / 64; got.TimedOps != want {
+			t.Errorf("%d ops: %d timed, want %d", ops, got.TimedOps, want)
+		}
+		if got.FilterProbes != ops*tables || got.FilterNegatives != ops*tables {
+			t.Errorf("%d ops: probes/negatives = %d/%d, want %d each", ops, got.FilterProbes, got.FilterNegatives, ops*tables)
+		}
+		if got.FilterProbeTime <= 0 {
+			t.Errorf("%d ops: estimated probe time %v, want > 0", ops, got.FilterProbeTime)
+		}
+	}
+}
+
 // TestConcurrentReadsDuringFlush runs Gets and Scans while another
 // goroutine writes and flushes tables: reads share the table list without
 // copying it, so every key flushed before the readers started must stay

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hashutil"
@@ -268,6 +269,12 @@ type Table struct {
 	// (runtime.KeepAlive) until its last use of data.
 	data    []byte
 	mapping *tableMapping
+	// sound has one flag per data block, set once a read has walked the
+	// whole block and found every record in bounds and the keys strictly
+	// ascending. Later reads of a sound block stop at the first key past
+	// the one they look for. A damaged block is never marked, so each of
+	// its reads walks it whole and fails.
+	sound []atomic.Bool
 }
 
 // tableMapping owns the mapping of one table's data blocks. Table.Close
@@ -391,6 +398,7 @@ func OpenTable(path string, reg Registry, stats *IOStats, simLatency time.Durati
 		return nil, fmt.Errorf("lsm: filter block: %w", err)
 	}
 	t.filter = reader
+	t.sound = make([]atomic.Bool, len(t.index))
 	if t.data, t.mapping, err = tableData(f, indexOff); err != nil {
 		f.Close()
 		return nil, err
@@ -470,40 +478,55 @@ func recordAt(buf []byte, off int) (key uint64, tomb bool, v, next int, ok bool)
 	return binary.LittleEndian.Uint64(buf[off:]), buf[off+8]&flagTombstone != 0, v, next, next <= len(buf)
 }
 
-// getInBlock looks key up in data block i, the one findBlock chose.
+// getInBlock looks key up in data block i, the one findBlock chose. The
+// block's first read walks it whole and marks it sound when it found no
+// damage; later reads stop at the first key at or past key.
 func (t *Table) getInBlock(i int, key uint64) (value []byte, tomb, found bool, err error) {
 	buf, err := t.readBlock(i)
 	if err != nil {
 		return nil, false, false, err
 	}
-	value, tomb, found, err = getInBuf(buf, key)
+	whole := !t.sound[i].Load()
+	value, tomb, found, sound, err := getInBuf(buf, key, whole)
 	runtime.KeepAlive(t) // the owner of buf's mapping
+	if sound {
+		t.sound[i].Store(true)
+	}
 	return value, tomb, found, err
 }
 
-// getInBuf looks key up in one data block. It walks the whole block, so
-// that damage after the key fails the read as well, and copies only the
-// value it returns.
-func getInBuf(buf []byte, key uint64) (value []byte, tomb, found bool, err error) {
+// getInBuf looks key up in one data block and copies only the value it
+// returns. With whole set it walks the whole block, so that damage after
+// the key fails the read as well, and reports the block sound when every
+// record parsed and the keys ascend strictly. Otherwise it stops at the
+// first key at or past key, bounds-checking each record it reaches.
+func getInBuf(buf []byte, key uint64, whole bool) (value []byte, tomb, found, sound bool, err error) {
 	n, off, err := blockRecords(buf)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, false, false, err
 	}
 	var v, end int
-	for ; n > 0; n-- {
+	var prev uint64
+	sorted := true
+	for r := uint32(0); r < n; r++ {
 		k, tmb, vOff, next, ok := recordAt(buf, off)
 		if !ok {
-			return nil, false, false, ErrCorruptTable
+			return nil, false, false, false, ErrCorruptTable
 		}
 		if !found && k == key {
 			found, tomb, v, end = true, tmb, vOff, next
 		}
-		off = next
+		if !whole && k >= key {
+			break
+		}
+		sorted = sorted && (r == 0 || k > prev)
+		prev, off = k, next
 	}
+	sound = whole && sorted
 	if !found || tomb {
-		return nil, tomb, found, nil
+		return nil, tomb, found, sound, nil
 	}
-	return bytes.Clone(buf[v:end]), false, true, nil
+	return bytes.Clone(buf[v:end]), false, true, sound, nil
 }
 
 // firstBlock returns the index of the first block whose last key is at
@@ -531,7 +554,7 @@ func (t *Table) findBlock(key uint64) int {
 
 // scan invokes fn for records with lo ≤ key ≤ hi in key order; fn
 // returns false to stop. Each record fn sees owns a copy of its value. It
-// walks every block it reads to the end, as getInBlock does, and reads
+// walks a block whole on its first read, as getInBlock does, and reads
 // blocks without consulting the filter: DB.Scan probes every table's
 // filter before it reads any block.
 func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
@@ -542,8 +565,12 @@ func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
 		if err != nil {
 			return err
 		}
-		if more, err = scanBlock(buf, lo, hi, fn); err != nil {
+		var sound bool
+		if more, sound, err = scanBlock(buf, lo, hi, fn, !t.sound[i].Load()); err != nil {
 			return err
+		}
+		if sound {
+			t.sound[i].Store(true)
 		}
 	}
 	return nil
@@ -551,18 +578,24 @@ func (t *Table) scan(lo, hi uint64, fn func(record) bool) error {
 
 // scanBlock walks one block for scan, passing fn the records in [lo, hi]
 // until fn stops; it reports whether the scan goes on past the block.
-func scanBlock(buf []byte, lo, hi uint64, fn func(record) bool) (more bool, err error) {
+// With whole set it walks the whole block and reports it sound as
+// getInBuf does; otherwise it stops at the first key past hi or where fn
+// stops.
+func scanBlock(buf []byte, lo, hi uint64, fn func(record) bool, whole bool) (more, sound bool, err error) {
 	n, off, err := blockRecords(buf)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	more = true
-	for ; n > 0; n-- {
+	var prev uint64
+	sorted := true
+	for r := uint32(0); r < n && (more || whole); r++ {
 		key, tomb, v, next, ok := recordAt(buf, off)
 		if !ok {
-			return false, ErrCorruptTable
+			return false, false, ErrCorruptTable
 		}
-		off = next
+		sorted = sorted && (r == 0 || key > prev)
+		prev, off = key, next
 		if !more || key < lo {
 			continue
 		}
@@ -572,5 +605,5 @@ func scanBlock(buf []byte, lo, hi uint64, fn func(record) bool) (more bool, err 
 		}
 		more = fn(record{key: key, value: bytes.Clone(buf[v:next]), tomb: tomb})
 	}
-	return more, nil
+	return more, whole && sorted, nil
 }
