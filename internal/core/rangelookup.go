@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 )
 
@@ -271,8 +270,15 @@ func NewFilterSet(fs []*Filter) FilterSet {
 // would be missed: a probe could answer false for a key it added. The
 // filters of a committed LSM table qualify; a server shard does not.
 func NewFrozenFilterSet(fs []*Filter) FilterSet {
+	return newFrozenFilterSet(fs, laneBudget)
+}
+
+// newFrozenFilterSet is NewFrozenFilterSet with lanes allowed up to budget
+// times the memory of the shared filters; tests raise it so that small
+// sets carry lanes too.
+func newFrozenFilterSet(fs []*Filter, budget uint64) FilterSet {
 	s := NewFilterSet(fs)
-	if s.wantLanes() {
+	if s.wantLanes(budget) {
 		for m := s.shared; m != 0; m &= m - 1 {
 			s.addLane(bits.TrailingZeros64(m))
 		}
@@ -280,45 +286,14 @@ func NewFrozenFilterSet(fs []*Filter) FilterSet {
 	return s
 }
 
-// With returns NewFrozenFilterSet of s's filters and g, which are bound by
-// its contract, and leaves s as it is. Where s has lanes, the new set's
-// are a copy, widened when the set grows past 32 filters, with g's exact
-// bits added; only where s has none are they built from all the filters.
-// It panics when s already holds 64 filters.
-func (s *FilterSet) With(g *Filter) FilterSet {
-	fs := append(s.fs[:len(s.fs):len(s.fs)], g)
-	if !s.hasLanes() {
-		return NewFrozenFilterSet(fs)
-	}
-	t := NewFilterSet(fs)
-	if !t.wantLanes() {
-		return t
-	}
-	if len(fs) <= 32 {
-		t.lanes32 = slices.Clone(s.lanes32)
-	} else {
-		t.lanes64 = make([]uint64, fs[0].exact.size())
-		for p := range t.lanes64 {
-			t.lanes64[p] = s.lane(uint64(p))
-		}
-	}
-	if j := len(fs) - 1; t.shared&(1<<j) != 0 {
-		t.addLane(j)
-	}
-	return t
-}
-
-// Len returns the number of filters in s.
-func (s *FilterSet) Len() int { return len(s.fs) }
-
 // laneBudget is how many times the memory of its shared filters a frozen
-// set's lanes may take. Tests raise it so that small sets carry lanes too.
-var laneBudget uint64 = 1
+// set's lanes may take.
+const laneBudget = 1
 
 // wantLanes reports whether s, a frozen set, should keep lanes: its plan
-// has an exact layer, and the lanes take no more than laneBudget times the
+// has an exact layer, and the lanes take no more than budget times the
 // memory of the filters that share it.
-func (s *FilterSet) wantLanes() bool {
+func (s *FilterSet) wantLanes(budget uint64) bool {
 	f := s.fs[0]
 	if !f.hasExact {
 		return false
@@ -331,7 +306,7 @@ func (s *FilterSet) wantLanes() bool {
 	if len(s.fs) > 32 {
 		width = 64
 	}
-	return f.exact.size()*width <= laneBudget*filterBits
+	return f.exact.size()*width <= budget*filterBits
 }
 
 // addLane ORs the exact bits of fs[j] into bit j of the lanes, which it

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -183,14 +182,13 @@ type planFamily struct {
 	sets    []famSets // built once by planFamilies
 }
 
-// famSets holds the three sets checkPlan and checkPoint probe over one
-// list of a family's filters: NewFilterSet(fs), NewFrozenFilterSet(fs),
-// and the frozen set of fs[:len(fs)-1] grown by With(fs[len(fs)-1]). The
-// frozen sets are built with laneBudget raised, so that they carry lanes
+// famSets holds the two sets checkPlan and checkPoint probe over one list
+// of a family's filters: NewFilterSet(fs) and the frozen set of fs. The
+// frozen set is built with a raised lane budget, so that it carries lanes
 // whenever fs[0] has an exact layer.
 type famSets struct {
-	fs                  []*Filter
-	live, frozen, grown FilterSet
+	fs           []*Filter
+	live, frozen FilterSet
 }
 
 // setLists returns the filter lists a family is probed as one FilterSet
@@ -215,17 +213,9 @@ func (fam planFamily) setLists() [][]*Filter {
 
 // buildSets builds the famSets of every list of fam.setLists.
 func (fam *planFamily) buildSets() {
-	defer func(b uint64) { laneBudget = b }(laneBudget)
-	laneBudget = 1 << 20
 	fam.sets = nil
 	for _, fs := range fam.setLists() {
-		start := NewFrozenFilterSet(fs[:len(fs)-1])
-		fam.sets = append(fam.sets, famSets{
-			fs:     fs,
-			live:   NewFilterSet(fs),
-			frozen: NewFrozenFilterSet(fs),
-			grown:  start.With(fs[len(fs)-1]),
-		})
+		fam.sets = append(fam.sets, famSets{fs: fs, live: NewFilterSet(fs), frozen: newFrozenFilterSet(fs, 1<<20)})
 	}
 }
 
@@ -248,7 +238,7 @@ func checkSet(t *testing.T, fam planFamily, what string, probe func(*Filter) boo
 		for _, c := range []struct {
 			kind string
 			set  *FilterSet
-		}{{"live", &fss.live}, {"frozen", &fss.frozen}, {"grown", &fss.grown}} {
+		}{{"live", &fss.live}, {"frozen", &fss.frozen}} {
 			if got := mask(c.set); got != wantMask {
 				t.Fatalf("%s set %d of %d filters (lanes: %v): %s = %#x, the filters' own answers %#x",
 					c.kind, n, len(fss.fs), c.set.hasLanes(), what, got, wantMask)
@@ -400,8 +390,8 @@ func TestRangePlanMatchesReference(t *testing.T) {
 			}
 		}
 		for n, fss := range fam.sets {
-			// Built with laneBudget raised: lanes wherever there is an
-			// exact layer.
+			// Built with the lane budget raised: lanes wherever there is
+			// an exact layer.
 			checkLanes(t, fmt.Sprintf("family %d, set %d", i, n), fss, fss.fs[0].hasExact)
 		}
 		d := uint(fam.same[0].domain)
@@ -419,38 +409,33 @@ func TestRangePlanMatchesReference(t *testing.T) {
 	}
 }
 
-// checkLanes checks the lanes of one famSets: the live set has none; the
-// frozen set has them exactly when want says, 32 bits wide for up to 32
-// filters and 64 above; and the grown set is the frozen one, field by
-// field.
+// checkLanes checks the lanes of one famSets: the live set has none, and
+// the frozen set has them exactly when want says, 32 bits wide for up to
+// 32 filters and 64 above.
 func checkLanes(t *testing.T, what string, fss famSets, want bool) {
 	t.Helper()
 	if fss.live.hasLanes() {
 		t.Fatalf("%s: a live set has lanes", what)
 	}
-	fr, gr := &fss.frozen, &fss.grown
+	fr := &fss.frozen
 	if fr.hasLanes() != want {
 		t.Fatalf("%s: frozen set has lanes %v, want %v", what, fr.hasLanes(), want)
 	}
 	if fr.hasLanes() && (fr.lanes32 != nil) != (len(fss.fs) <= 32) {
 		t.Fatalf("%s: %d filters in 32-bit lanes: %v", what, len(fss.fs), fr.lanes32 != nil)
 	}
-	if !slices.Equal(fr.lanes32, gr.lanes32) || !slices.Equal(fr.lanes64, gr.lanes64) ||
-		fr.shared != gr.shared || fr.sameGeo != gr.sameGeo || fr.others != gr.others {
-		t.Fatalf("%s: the grown set differs from the one built at once", what)
-	}
 }
 
-// TestFrozenSetLaneBudget builds frozen sets of up to 40 tuned filters
-// sized as LSM tables are, one filter at a time with With: a set keeps
-// lanes from the size where they take no more memory than its filters,
-// each equals the set built at once, and a live set never has lanes.
+// TestFrozenSetLaneBudget builds frozen sets of 1 to 40 tuned filters
+// sized as LSM tables are, as an LSM store does after each flush: a set
+// keeps lanes from the size where they take no more memory than its
+// filters, it answers as the live set does, and a live set never has
+// lanes.
 func TestFrozenSetLaneBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var fs []*Filter
 	var stored []uint64 // some keys of every filter, for positive probes
-	var grown FilterSet
-	first := 0 // the size of the first set with lanes
+	first := 0          // the size of the first set with lanes
 	for n := 1; n <= 40; n++ {
 		f, _, err := NewTuned(TuneOptions{N: 20_000, BitsPerKey: 16, MaxRange: 1 << 10})
 		if err != nil {
@@ -467,12 +452,7 @@ func TestFrozenSetLaneBudget(t *testing.T) {
 			t.Fatal("the tuned layout has no exact layer")
 		}
 		fs = append(fs, f)
-		if n == 1 {
-			grown = NewFrozenFilterSet(fs)
-		} else {
-			grown = grown.With(f)
-		}
-		at := NewFrozenFilterSet(fs)
+		frozen := NewFrozenFilterSet(fs)
 		live := NewFilterSet(fs)
 		if live.hasLanes() {
 			t.Fatalf("%d filters: a live set has lanes", n)
@@ -485,20 +465,20 @@ func TestFrozenSetLaneBudget(t *testing.T) {
 		for _, g := range fs {
 			filterBits += g.SizeBits()
 		}
-		want := f.exact.size()*width <= filterBits
+		want := f.exact.size()*width <= laneBudget*filterBits
 		if want && first == 0 {
 			first = n
 		}
-		checkLanes(t, fmt.Sprintf("%d filters", n), famSets{fs: fs, live: live, frozen: at, grown: grown}, want)
+		checkLanes(t, fmt.Sprintf("%d filters", n), famSets{fs: fs, live: live, frozen: frozen}, want)
 		for q := 0; q < 200; q++ {
 			x := rng.Uint64()
 			if q%2 == 1 {
 				x = stored[q%len(stored)]
 			}
-			if got, want := grown.MayContain(x), live.MayContain(x); got != want {
+			if got, want := frozen.MayContain(x), live.MayContain(x); got != want {
 				t.Fatalf("%d filters: MayContain(%#x) = %#x, live set %#x", n, x, got, want)
 			}
-			if got, want := grown.MayContainRange(x, x+1<<10), live.MayContainRange(x, x+1<<10); got != want {
+			if got, want := frozen.MayContainRange(x, x+1<<10), live.MayContainRange(x, x+1<<10); got != want {
 				t.Fatalf("%d filters: MayContainRange(%#x, +2^10) = %#x, live set %#x", n, x, got, want)
 			}
 		}

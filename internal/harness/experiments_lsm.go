@@ -465,7 +465,7 @@ func Fig12G(s Scale, dir string) ([]*Table, error) {
 	t := &Table{
 		Title:   "Fig 12.G — probe cost breakdown (LSM, 22 bits/key, uniform)",
 		Columns: []string{"range", "filter", "probe(s)", "timed ops", "cpu-resid(s)", "deser(s)", "io-wait(s)", "total(s)"},
-		Notes: []string{"probe(s) is an estimate: the store times one op in 64 (k = 6) and counts its probe time 64 times; " +
+		Notes: []string{"probe(s) is an estimate: the store times one op in 64 (k = 6) and counts its probe time 64 times, the first op's once; " +
 			"timed ops is how many ops it timed"},
 	}
 	ranges := []uint64{1, 16, 1_000, 1_000_000}

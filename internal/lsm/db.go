@@ -83,10 +83,8 @@ type readView struct {
 	sets   []FilterSet
 }
 
-// withTable returns the view of v's tables and t under memtable mem. Only
-// the last set changes: it extends v's last set by t when that covers
-// fewer than 64 tables, and starts a new set otherwise. The others cover
-// the same tables as in v.
+// withTable returns the view of v's tables and t under memtable mem. It
+// rebuilds only the last set; the others cover the same tables as in v.
 func (v *readView) withTable(t *Table, mem *memtable) *readView {
 	tables := append(v.tables[:len(v.tables):len(v.tables)], t)
 	g := (len(tables) - 1) / setSize
@@ -94,11 +92,7 @@ func (v *readView) withTable(t *Table, mem *memtable) *readView {
 	for i, t := range tables[g*setSize:] {
 		rs[i] = t.filter
 	}
-	var prev FilterSet
-	if g < len(v.sets) {
-		prev = v.sets[g]
-	}
-	sets := append(v.sets[:g:g], newFilterSet(rs, prev))
+	sets := append(v.sets[:g:g], newFilterSet(rs))
 	return &readView{mem: mem, tables: tables, sets: sets}
 }
 
@@ -306,7 +300,8 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 	}
 	var probes, negatives uint64
 	var probeTime, start time.Duration
-	timed := db.timeOp()
+	weight := db.timeOp()
+	timed := weight != 0
 	for g := len(v.sets) - 1; g >= 0; g-- {
 		if timed {
 			start = monotonic()
@@ -329,7 +324,7 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 			}
 			val, tomb, found, err := t.getInBlock(b, key)
 			if err != nil || found {
-				db.stats.addProbes(probes, negatives, timed, probeTime)
+				db.stats.addProbes(probes, negatives, weight, probeTime)
 				if err != nil || tomb {
 					return nil, false, err
 				}
@@ -337,15 +332,23 @@ func (db *DB) Get(key uint64) ([]byte, bool, error) {
 			}
 		}
 	}
-	db.stats.addProbes(probes, negatives, timed, probeTime)
+	db.stats.addProbes(probes, negatives, weight, probeTime)
 	return nil, false, nil
 }
 
-// timeOp reports whether the op that calls it, one that probes the
-// filters, reads the clock: the DB's first such op does, and every
-// 2^probeSampleShift-th after it.
-func (db *DB) timeOp() bool {
-	return (db.probeOps.Add(1)-1)&(1<<probeSampleShift-1) == 0
+// timeOp returns the weight in the probe-time estimate of the op that
+// calls it, one that probes the filters, or 0 when the op reads no clock.
+// The DB's first such op is timed and stands for itself alone, so that its
+// cold caches are not multiplied; after it every 2^probeSampleShift-th op
+// is timed and stands for the 2^probeSampleShift ops up to it.
+func (db *DB) timeOp() uint64 {
+	switch i := db.probeOps.Add(1) - 1; {
+	case i == 0:
+		return 1
+	case i&(1<<probeSampleShift-1) == 0:
+		return 1 << probeSampleShift
+	}
+	return 0
 }
 
 // clockBase anchors monotonic: time.Since on a time with a monotonic
@@ -385,7 +388,8 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	var passBuf [4]uint64
 	pass := passBuf[:0]
 	var start, probeTime time.Duration
-	timed := db.timeOp()
+	weight := db.timeOp()
+	timed := weight != 0
 	if timed {
 		start = monotonic()
 	}
@@ -399,7 +403,7 @@ func (db *DB) Scan(lo, hi uint64) ([]KV, error) {
 	for _, m := range pass {
 		survivors += bits.OnesCount64(m)
 	}
-	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), timed, probeTime)
+	db.stats.addProbes(uint64(len(tables)), uint64(len(tables)-survivors), weight, probeTime)
 
 	// Data pass: per-source sorted streams, memtable (newest) then the
 	// surviving tables newest-first that yield a record. Priority = source

@@ -12,8 +12,8 @@ import (
 //
 // The counts are exact. The probe time is an estimate: the first op that
 // probes the filters, and every 2^probeSampleShift-th after it, reads the
-// clock, and each of those TimedOps adds its probe time scaled by
-// 2^probeSampleShift to FilterProbeNanos.
+// clock. The first of those TimedOps adds its probe time to
+// FilterProbeNanos once, each later one 2^probeSampleShift times.
 type IOStats struct {
 	BlockReads       atomic.Uint64
 	BytesRead        atomic.Uint64
@@ -30,13 +30,14 @@ type IOStats struct {
 const probeSampleShift = 6
 
 // addProbes records one op's filter probes: how many and how many answered
-// no, and, for a timed op, the time they took together.
-func (s *IOStats) addProbes(probes, negatives uint64, timed bool, d time.Duration) {
+// no, and, for a timed op (weight > 0, from DB.timeOp), the time they took
+// together, counted weight times.
+func (s *IOStats) addProbes(probes, negatives, weight uint64, d time.Duration) {
 	s.FilterProbes.Add(probes)
 	s.FilterNegatives.Add(negatives)
-	if timed {
+	if weight != 0 {
 		s.TimedOps.Add(1)
-		s.FilterProbeNanos.Add(uint64(d) << probeSampleShift)
+		s.FilterProbeNanos.Add(uint64(d) * weight)
 	}
 }
 

@@ -69,15 +69,9 @@ func (r bloomRFReader) RangeMayMatch(lo, hi uint64) bool { return r.f.MayContain
 // NewSet implements lsm.SetReader: when every reader in rs is bloomRF,
 // they are probed together through one frozen core.FilterSet, so those
 // that share a layout share each probe's plan and hashes, and the exact
-// layer is one lane word for all of them. A set that extends prev, the
-// bloomRF set of rs[:len(rs)-1], copies its lanes instead of building them
-// anew. A store whose tables mix policies asks each reader in turn.
-func (r bloomRFReader) NewSet(rs []lsm.FilterReader, prev lsm.FilterSet) lsm.FilterSet {
-	if p, ok := prev.(*bloomRFSet); ok && p.Len() == len(rs)-1 {
-		if last, ok := rs[len(rs)-1].(bloomRFReader); ok {
-			return &bloomRFSet{p.With(last.f)}
-		}
-	}
+// layer is one lane word for all of them. A store whose tables mix
+// policies asks each reader in turn.
+func (r bloomRFReader) NewSet(rs []lsm.FilterReader) lsm.FilterSet {
 	fs := make([]*core.Filter, len(rs))
 	for j, x := range rs {
 		b, ok := x.(bloomRFReader)

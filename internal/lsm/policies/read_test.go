@@ -86,7 +86,7 @@ func TestLSMReadZeroAlloc(t *testing.T) {
 // TestRangeMayMatchSet checks the set a bloomRF reader builds against
 // each reader's own KeyMayMatch and RangeMayMatch, over bloomRF readers of
 // mixed layouts, the newest one last as DB passes them, and over readers
-// of mixed policies; both built at once and grown one reader at a time. The tables of 3500 and 13000 keys get tuned layouts
+// of mixed policies. The tables of 3500 and 13000 keys get tuned layouts
 // that differ only in one layer's delta (exact levels 50 and 48).
 func TestRangeMayMatchSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -125,33 +125,21 @@ func TestRangeMayMatchSet(t *testing.T) {
 	}
 	bloomRF := []lsm.FilterReader{readers[0], readers[2], readers[3], readers[5]}
 	for _, rs := range [][]lsm.FilterReader{readers, bloomRF} {
-		// grown is the set as DB builds it, one table per flush: each
-		// reader's NewSet extends the set of the readers before it.
-		var grown lsm.FilterSet
-		for k := 1; k <= len(rs); k++ {
-			if s, ok := rs[k-1].(lsm.SetReader); ok {
-				grown = s.NewSet(rs[:k], grown)
-			} else {
-				grown = lsm.ReaderSet(rs[:k])
-			}
-		}
-		sets := []lsm.FilterSet{newest.NewSet(rs, nil), grown}
+		set := newest.NewSet(rs)
 		positives := 0
 		for i := 0; i < 20000; i++ {
 			lo := rng.Uint64() >> 8
 			hi := lo + rng.Uint64()%(1<<uint(rng.Intn(40)))
+			if got, want := set.RangeMayMatch(lo, hi), lsm.ReaderSet(rs).RangeMayMatch(lo, hi); got != want {
+				t.Fatalf("%d readers: RangeMayMatch(%#x, %#x) = %06b, want %06b", len(rs), lo, hi, got, want)
+			}
 			x := lo
 			if i%2 == 1 {
 				x = keys[i%len(keys)]
 			}
-			wantRange, want := lsm.ReaderSet(rs).RangeMayMatch(lo, hi), lsm.ReaderSet(rs).KeyMayMatch(x)
-			for n, set := range sets {
-				if got := set.RangeMayMatch(lo, hi); got != wantRange {
-					t.Fatalf("%d readers, set %d: RangeMayMatch(%#x, %#x) = %06b, want %06b", len(rs), n, lo, hi, got, wantRange)
-				}
-				if got := set.KeyMayMatch(x); got != want {
-					t.Fatalf("%d readers, set %d: KeyMayMatch(%#x) = %06b, want %06b", len(rs), n, x, got, want)
-				}
+			got, want := set.KeyMayMatch(x), lsm.ReaderSet(rs).KeyMayMatch(x)
+			if got != want {
+				t.Fatalf("%d readers: KeyMayMatch(%#x) = %06b, want %06b", len(rs), x, got, want)
 			}
 			if want != 0 {
 				positives++

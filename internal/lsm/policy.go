@@ -53,10 +53,8 @@ type SetReader interface {
 	// NewSet returns the set of rs, len(rs) ≤ 64; rs may hold readers of
 	// any policy, and the set may keep rs. The readers are those of
 	// committed tables, which never change, so the set may copy what they
-	// hold. prev, when not nil, is the set DB built over rs[:len(rs)-1],
-	// which NewSet may extend by the newest reader instead of starting
-	// afresh.
-	NewSet(rs []FilterReader, prev FilterSet) FilterSet
+	// hold.
+	NewSet(rs []FilterReader) FilterSet
 }
 
 // ReaderSet is the FilterSet that asks each reader in turn.
@@ -85,11 +83,10 @@ func (rs ReaderSet) RangeMayMatch(lo, hi uint64) uint64 {
 }
 
 // newFilterSet returns the set of rs, len(rs) ≤ 64, built by the newest
-// reader's NewSet when it has one; prev is the set of rs[:len(rs)-1], or
-// nil.
-func newFilterSet(rs []FilterReader, prev FilterSet) FilterSet {
+// reader's NewSet when it has one.
+func newFilterSet(rs []FilterReader) FilterSet {
 	if s, ok := rs[len(rs)-1].(SetReader); ok {
-		return s.NewSet(rs, prev)
+		return s.NewSet(rs)
 	}
 	return ReaderSet(rs)
 }

@@ -213,6 +213,25 @@ func TestProbeClockSampling(t *testing.T) {
 	}
 }
 
+// TestProbeClockWeights checks the weight timeOp gives each op's probe
+// span: the DB's first op counts once, so that its cold caches are not
+// multiplied, every 64th op after it 64 times, and the others not at all.
+func TestProbeClockWeights(t *testing.T) {
+	var db DB
+	for i := uint64(0); i < 200; i++ {
+		var want uint64
+		switch {
+		case i == 0:
+			want = 1
+		case i%64 == 0:
+			want = 64
+		}
+		if got := db.timeOp(); got != want {
+			t.Fatalf("op %d: weight %d, want %d", i, got, want)
+		}
+	}
+}
+
 // TestConcurrentReadsDuringFlush runs Gets and Scans while another
 // goroutine writes and flushes tables: reads share the table list without
 // copying it, so every key flushed before the readers started must stay
