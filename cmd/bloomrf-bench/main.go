@@ -11,7 +11,7 @@
 // Experiments: fig1, fig5, fig8, fig9, fig9d, fig10, fig11, fig12a,
 // fig12b, fig12c, fig12d, fig12s, fig12e, fig12f, fig12g, sect6, ycsb, all.
 // ycsb replays the paper's range mix (a YCSB E derivative whose queries
-// are almost all empty) over the LSM store once per served backend
+// are almost all empty) over the LSM store once per filter backend
 // (bloomRF, Bloom, Rosetta, SuRF) and prints data blocks read,
 // empty-query FPR and IO saved vs Bloom.
 package main

@@ -310,8 +310,8 @@ func e2eSplit(t *testing.T, bin string) {
 }
 
 // e2eRefusals runs the binary with each misconfiguration main refuses:
-// it must exit non-zero within 2 s, say why, and never reach the line it
-// logs before listening.
+// it must exit non-zero within 2 s, say why, never reach the line it logs
+// before listening, and leave no process behind.
 func e2eRefusals(t *testing.T, bin string) {
 	dataDir := t.TempDir()
 	for _, tc := range []struct {
@@ -328,11 +328,14 @@ func e2eRefusals(t *testing.T, bin string) {
 			"-auto-promote requires -replication-heartbeat-timeout > 0"},
 		{"pprof-not-loopback", []string{"-pprof", "0.0.0.0:6060"}, "must bind a loopback address"},
 		{"log-format", []string{"-log-format", "xml"}, `-log-format "xml" must be "text" or "json"`},
+		{"retired-backend", []string{"-data-dir", retiredBackendDataDir(t)},
+			`filter "orders" was created with backend "surf"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", freeAddr(t)}, tc.args...)...)
+			addr := freeAddr(t)
+			cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", addr}, tc.args...)...)
 			cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 			out, err := cmd.CombinedOutput()
 			if ctx.Err() != nil {
@@ -342,14 +345,54 @@ func e2eRefusals(t *testing.T, bin string) {
 			if !errors.As(err, &exit) {
 				t.Fatalf("exit = %v, want a non-zero status; output:\n%s", err, out)
 			}
-			if !bytes.Contains(out, []byte(tc.want)) {
+			// The text log format quotes a message and escapes its quotes.
+			if !bytes.Contains(bytes.ReplaceAll(out, []byte(`\"`), []byte(`"`)), []byte(tc.want)) {
 				t.Fatalf("output lacks %q:\n%s", tc.want, out)
 			}
 			if bytes.Contains(out, []byte("listening on")) {
 				t.Fatalf("refused configuration opened a listener:\n%s", out)
 			}
+			// pgrep exits 1 when no process matches, 0 when one does.
+			left, err := exec.Command("pgrep", "-f", "-a", "--", "-addr "+addr).CombinedOutput()
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("pgrep for a daemon left on %s: %v\n%s", addr, err, left)
+			}
 		})
 	}
+}
+
+// retiredBackendDataDir returns a -data-dir whose snapshot store is a copy
+// of the golden v4 fixture with its manifest naming the retired "surf"
+// backend.
+func retiredBackendDataDir(t *testing.T) string {
+	dir := t.TempDir()
+	src := "../../internal/server/testdata/golden-v4-store"
+	err := filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		dst := filepath.Join(dir, "snapshots", rel)
+		if e.IsDir() {
+			return os.MkdirAll(dst, 0o755)
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if e.Name() == "manifest.json" {
+			edited := bytes.Replace(body, []byte(`"backend": "bloomrf"`), []byte(`"backend": "surf"`), 1)
+			if bytes.Equal(edited, body) {
+				return fmt.Errorf("%s names no bloomrf backend", path)
+			}
+			body = edited
+		}
+		return os.WriteFile(dst, body, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // e2eFlags holds the flag table in docs/server.md to `bloomrfd -h`, one

@@ -187,8 +187,9 @@ func TestFenceConformance(t *testing.T) {
 	}})
 }
 
-// TestLSMBackendConformance drives the LSM suite over every servable filter
-// backend: the four policies the server and the bench harness expose. The
+// TestLSMBackendConformance drives the LSM suite over every filter backend
+// the LSM store takes: the four policies policies.ForBackend builds for the
+// paper's comparison in the bench harness. The
 // store's answers must be exact — zero false negatives through the full
 // SSTable read path, zero invented keys — whichever filter sits in the
 // filter block; the per-backend FP rates land in the test log.

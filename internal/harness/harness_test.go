@@ -2,6 +2,7 @@ package harness
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -160,6 +161,17 @@ func TestFig12GSmoke(t *testing.T) {
 	}
 	if want := []string{"bloomRF", "rosetta", "surf"}; !slices.Equal(order, want) {
 		t.Errorf("filter rows in order %v, want %v", order, want)
+	}
+	// Filter blocks are deserialized when the store opens its tables, so
+	// the column reads the open-time cost, never 0 for a built store.
+	deser := slices.Index(tables[0].Columns, "deser(s)")
+	for _, row := range tables[0].Rows {
+		if row[1] != "bloomRF" {
+			continue
+		}
+		if v, err := strconv.ParseFloat(row[deser], 64); err != nil || v <= 0 {
+			t.Errorf("bloomRF range %s: deser(s) = %q, want > 0", row[0], row[deser])
+		}
 	}
 }
 

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -80,19 +86,22 @@ func queryRangeBinaryNamed(t testing.TB, a *API, name string, ranges [][2]uint64
 	return decodeResultFrame(t, rec.Body.Bytes(), len(ranges))
 }
 
-// TestCreateWithBackend drives the full create → insert → query → query-range
-// flow over every servable backend through the HTTP API, through both the
-// JSON and the binary codec, and requires: the create response reports the
-// backend, no inserted key is ever lost (one-sided answers), and the two
-// codecs return element-wise identical verdicts for the same filter.
+// TestCreateWithBackend pins the create endpoint's backend field. Omitted
+// or "bloomrf", the full create → insert → query → query-range flow runs
+// through both codecs: the create response and the stats report bloomrf,
+// no inserted key is ever lost, and the two codecs return element-wise
+// identical verdicts. A backend earlier builds served ("bloom", "rosetta",
+// "surf") is a 400 naming bloomrf as the only servable backend, and
+// nothing is registered.
 func TestCreateWithBackend(t *testing.T) {
-	for _, backend := range append(Backends(), "") {
+	for _, backend := range append([]string{BackendBloomRF, ""}, retiredBackends...) {
 		wantBackend := backend
 		if wantBackend == "" {
 			wantBackend = BackendBloomRF
 		}
 		t.Run("backend="+wantBackend+fmt.Sprintf("/explicit=%v", backend != ""), func(t *testing.T) {
-			a := NewAPI(NewRegistry())
+			reg := NewRegistry()
+			a := NewAPI(reg)
 			name := "bt-" + wantBackend
 			createBody, _ := json.Marshal(map[string]any{
 				"name":          name,
@@ -103,6 +112,16 @@ func TestCreateWithBackend(t *testing.T) {
 				"backend":       backend,
 			})
 			rec := doBinReq(t, a, "POST", "/v1/filters", "application/json", createBody)
+			if wantBackend != BackendBloomRF {
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `\"`+backend+`\"`) ||
+					!strings.Contains(rec.Body.String(), "bloomrf is the only servable backend") {
+					t.Fatalf("create: %d %s, want a 400 naming %q and bloomrf", rec.Code, rec.Body, backend)
+				}
+				if _, err := reg.Get(name); err == nil {
+					t.Fatal("filter registered despite 400")
+				}
+				return
+			}
 			if rec.Code != http.StatusCreated {
 				t.Fatalf("create: %d %s", rec.Code, rec.Body)
 			}
@@ -129,7 +148,7 @@ func TestCreateWithBackend(t *testing.T) {
 			}
 
 			// Mixed present/absent queries; codecs must agree exactly, and
-			// inserted keys must always answer true regardless of backend.
+			// inserted keys must always answer true.
 			rng := rand.New(rand.NewSource(1207))
 			queries := make([]uint64, 3000)
 			for i := range queries {
@@ -149,7 +168,7 @@ func TestCreateWithBackend(t *testing.T) {
 					t.Fatalf("query %d (%#x): json=%v binary=%v", i, queries[i], jr[i], br[i])
 				}
 				if i%3 != 2 && !br[i] {
-					t.Fatalf("backend %s lost inserted key %#x", wantBackend, queries[i])
+					t.Fatalf("lost inserted key %#x", queries[i])
 				}
 			}
 
@@ -172,7 +191,7 @@ func TestCreateWithBackend(t *testing.T) {
 					t.Fatalf("range %d %v: json=%v binary=%v", i, ranges[i], jrr[i], brr[i])
 				}
 				if i%2 == 0 && !brr[i] {
-					t.Fatalf("backend %s range %v over inserted key answered false", wantBackend, ranges[i])
+					t.Fatalf("range %v over inserted key answered false", ranges[i])
 				}
 			}
 
@@ -193,7 +212,7 @@ func TestCreateWithBackend(t *testing.T) {
 }
 
 // TestCreateUnknownBackend pins the rejection: an unrecognized backend is a
-// 400 naming the servable ones, and nothing is registered.
+// 400 naming the servable one, and nothing is registered.
 func TestCreateUnknownBackend(t *testing.T) {
 	reg := NewRegistry()
 	a := NewAPI(reg)
@@ -202,8 +221,8 @@ func TestCreateUnknownBackend(t *testing.T) {
 			"name": "nope", "expected_keys": 1000, "backend": bad,
 		})
 		rec := doBinReq(t, a, "POST", "/v1/filters", "application/json", body)
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("backend %q: got %d %s, want 400", bad, rec.Code, rec.Body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), BackendBloomRF) {
+			t.Fatalf("backend %q: got %d %s, want a 400 naming bloomrf", bad, rec.Code, rec.Body)
 		}
 		if _, err := reg.Get("nope"); err == nil {
 			t.Fatalf("backend %q: filter registered despite 400", bad)
@@ -211,90 +230,156 @@ func TestCreateUnknownBackend(t *testing.T) {
 	}
 }
 
-// TestBackendSnapshotRestore round-trips every backend through a v4
-// snapshot: the manifest must record the backend, and the restored filter
-// must answer every point and range probe exactly like the original.
+// retiredBackendStore snapshots a bloomRF filter named "orders" twice into
+// a store under dir/snapshots, then rewrites the newest manifest as a v4
+// manifest naming backend b. The older snapshot stays a restorable bloomRF
+// one, so a restore that fell back to it would succeed. It returns the
+// store and the inserted keys.
+func retiredBackendStore(t *testing.T, dir, b string) (*Store, []uint64) {
+	t.Helper()
+	st, err := OpenStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewSharded(FilterOptions{ExpectedKeys: 4096, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := backendTestKeys(500)
+	f.InsertBatch(keys[:250])
+	if _, err := st.Snapshot("orders", f); err != nil {
+		t.Fatal(err)
+	}
+	f.InsertBatch(keys[250:])
+	man, err := st.Snapshot("orders", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Downgrade(4)
+	man.Options.Backend = b
+	writeManifest(t, st, &man)
+	return st, keys
+}
+
+// TestBackendSnapshotRestore round-trips a bloomRF filter through a
+// snapshot, and refuses a manifest naming any backend earlier builds also
+// served: Restore, and boot recovery over it, fail with an error naming
+// the filter and the backend. Neither skips the filter nor falls back to
+// its older, restorable snapshot.
 func TestBackendSnapshotRestore(t *testing.T) {
-	for _, backend := range Backends() {
+	for _, backend := range append([]string{BackendBloomRF}, retiredBackends...) {
 		t.Run(backend, func(t *testing.T) {
-			f, err := NewSharded(FilterOptions{
-				ExpectedKeys: 10_000, BitsPerKey: 16, MaxRange: 1 << 10,
-				Shards: 4, Backend: backend,
-			})
-			if err != nil {
-				t.Fatal(err)
+			dir := t.TempDir()
+			st, keys := retiredBackendStore(t, dir, backend)
+			g, man, err := st.Restore("orders")
+			if backend == BackendBloomRF {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if man.Seq != 2 || man.Options.Backend != backend || g.Stats().Backend != backend {
+					t.Fatalf("restored seq %d backend %q / stats %q, want seq 2 %q", man.Seq, man.Options.Backend, g.Stats().Backend, backend)
+				}
+				for _, k := range keys {
+					if !g.MayContain(k) {
+						t.Fatalf("restored filter lost key %#x", k)
+					}
+				}
+				return
 			}
-			keys := backendTestKeys(1500)
-			f.InsertBatch(keys)
-
-			st, err := OpenStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			man, err := st.Snapshot("rt", f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if man.FormatVersion != manifestVersion || man.Options.Backend != backend {
-				t.Fatalf("manifest version %d backend %q, want %d %q",
-					man.FormatVersion, man.Options.Backend, manifestVersion, backend)
-			}
-			g, man2, err := st.Restore("rt")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if man2.Options.Backend != backend || g.Stats().Backend != backend {
-				t.Fatalf("restored backend %q / stats %q, want %q", man2.Options.Backend, g.Stats().Backend, backend)
-			}
-			assertIdenticalAnswers(t, f, g, keys, 1208)
-
-			// Range answers must survive the round trip too (the snapshot
-			// codec differs per backend; surf rebuilds its trie from the
-			// key buffer).
-			rng := rand.New(rand.NewSource(1209))
-			ranges := make([][2]uint64, 600)
-			for i := range ranges {
-				if i%2 == 0 {
-					x := keys[rng.Intn(len(keys))]
-					ranges[i] = [2]uint64{x - 5, x + 5}
-				} else {
-					lo := rng.Uint64()
-					ranges[i] = [2]uint64{lo, lo + uint64(rng.Intn(1<<12))}
+			refused := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, errRetiredBackend) ||
+					!strings.Contains(err.Error(), `"orders"`) || !strings.Contains(err.Error(), `"`+backend+`"`) {
+					t.Fatalf("%s of a %s manifest: %v; want a refusal naming orders and %s", what, backend, err, backend)
 				}
 			}
-			fo := make([]bool, len(ranges))
-			go_ := make([]bool, len(ranges))
-			f.MayContainRangeBatch(ranges, fo)
-			g.MayContainRangeBatch(ranges, go_)
-			for i := range ranges {
-				if fo[i] != go_[i] {
-					t.Fatalf("range %v: original %v, restored %v", ranges[i], fo[i], go_[i])
-				}
-				if i%2 == 0 && !go_[i] {
-					t.Fatalf("restored %s filter lost range %v over inserted key", backend, ranges[i])
-				}
+			refused("Restore", err)
+			l := openWALT(t, filepath.Join(dir, "wal"))
+			defer l.Close()
+			reg := NewRegistry()
+			var logged []string
+			_, err = Recover(st, l, reg, func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+			refused("Recover", err)
+			if _, gerr := reg.Get("orders"); gerr == nil || len(logged) > 0 {
+				t.Fatalf("Recover registered or skipped the refused filter (lookup %v, log %q)", gerr, logged)
 			}
 		})
 	}
 }
 
-// TestCreateRecordCarriesBackend pins that the WAL create record round-trips
-// the backend, so replay rebuilds the filter with the right implementation.
+// TestCreateRecordCarriesBackend pins that the WAL create record
+// round-trips the backend, and that replaying a create record naming a
+// backend earlier builds served fails replay, naming the filter and the
+// backend, instead of dropping the filter's records.
 func TestCreateRecordCarriesBackend(t *testing.T) {
-	opt := FilterOptions{ExpectedKeys: 1000, Shards: 2, Backend: BackendRosetta}
-	f, err := NewSharded(opt)
+	f, err := NewSharded(FilterOptions{ExpectedKeys: 1000, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := encodeCreate("r", f.Options())
+	rec, err := encodeCreate("b", f.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := decodeCreate(rec.Data)
+	if p, err := decodeCreate(rec.Data); err != nil || p.Options.Backend != BackendBloomRF {
+		t.Fatalf("create record carries backend %q (%v), want bloomrf", p.Options.Backend, err)
+	}
+
+	l := openWALT(t, t.TempDir())
+	defer l.Close()
+	opt := f.Options()
+	opt.Backend = "rosetta"
+	rec, err = encodeCreate("r", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Options.Backend != BackendRosetta {
-		t.Fatalf("replayed create carries backend %q, want rosetta", p.Options.Backend)
+	if _, err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	_, err = ReplayWAL(l, reg, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), `"r"`) || !strings.Contains(err.Error(), `"rosetta"`) {
+		t.Fatalf("ReplayWAL = %v, want a failure naming r and rosetta", err)
+	}
+	if _, gerr := reg.Get("r"); gerr == nil {
+		t.Fatal("replay registered the refused filter")
+	}
+}
+
+// TestFollowerRefusesRetiredBackend: a bootstrap manifest naming a backend
+// earlier builds served stops the follower for good, with a terminal error
+// naming the filter and the backend, instead of reconnecting forever.
+func TestFollowerRefusesRetiredBackend(t *testing.T) {
+	man, err := json.Marshal(Manifest{
+		FormatVersion: 4, Name: "orders", Seq: 1,
+		Options: FilterOptions{ExpectedKeys: 1000, Shards: 1, Partitioning: PartitionHash, Backend: "surf"},
+		Shards:  []ShardEntry{{File: "shard-0000.bin", Bytes: 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fw := &frameWriter{w: w}
+		_ = fw.write(frameEpoch, 1, nil)
+		_ = fw.write(frameSnapBegin, 0, man)
+	}))
+	defer primary.Close()
+	fo, err := NewFollower(primary.URL, NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		fo.Run(context.Background())
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		fo.Stop()
+		t.Fatal("follower kept running after a bootstrap manifest naming surf")
+	}
+	terr := fo.TerminalErr()
+	if !errors.Is(terr, errRetiredBackend) || !strings.Contains(terr.Error(), `"orders"`) || !strings.Contains(terr.Error(), `"surf"`) {
+		t.Fatalf("terminal error %v, want a refusal naming orders and surf", terr)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -376,28 +375,19 @@ const setBlock = 64
 // hashRanges answers a range batch under hash routing, where every shard
 // may hold keys of every interval: out[j] is the OR over all shards of
 // their MayContainRange(ranges[j]). The shards of a hash-routed filter are
-// built from one Config, so when they are bloomRF the range's plan — the
-// per-layer coverings, decomposition runs and word-group hashes — is the
-// same for all of them: the batch builds one core.FilterSet per setBlock
-// shards, which works the plan out once per range and probes the shards
-// layer-major. Other backends answer shard by shard and stop at the first
-// positive. MayContainRange, the single-range HTTP request and every batch
-// size reach hash-routed ranges only through here, and each shard counts
-// one range probe per range, whichever shard answers first.
+// built from one Config, so the range's plan — the per-layer coverings,
+// decomposition runs and word-group hashes — is the same for all of them:
+// the batch builds one core.FilterSet per setBlock shards, which works the
+// plan out once per range and probes the shards layer-major.
+// MayContainRange, the single-range HTTP request and every batch size
+// reach hash-routed ranges only through here, and each shard counts one
+// range probe per range, whichever shard answers first.
 func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bool) {
 	var buf [MaxShards]*core.Filter
 	fs := buf[:0]
 	for _, ss := range tab.shards {
 		ss.rangeProbes.Add(uint64(len(ranges)))
-		if b, ok := ss.f.(bloomrfShard); ok {
-			fs = append(fs, b.Filter)
-		}
-	}
-	if len(fs) < len(tab.shards) {
-		for j, r := range ranges {
-			out[j] = slices.ContainsFunc(tab.shards, func(ss *shardState) bool { return ss.f.MayContainRange(r[0], r[1]) })
-		}
-		return
+		fs = append(fs, ss.f)
 	}
 	if len(fs) == 1 {
 		// No plan to share: the single-filter traversal is cheaper.

@@ -188,6 +188,8 @@ var eraSpecs = map[string]struct {
 		{"absent", func(m, _ *Manifest) { m.Options.Backend = "" }, false, false},
 		{"bloomrf", func(m, _ *Manifest) { m.Options.Backend = BackendBloomRF }, true, true},
 		{"cuckoo", func(m, _ *Manifest) { m.Options.Backend = "cuckoo" }, false, false},
+		// Well formed: Restore then refuses it by name (checkServable).
+		{"surf", func(m, _ *Manifest) { m.Options.Backend = "surf" }, true, true},
 	}},
 	"spans": {5, false, nil, []eraSample{
 		{"absent", func(m, _ *Manifest) { m.Spans = nil }, true, false},

@@ -17,17 +17,16 @@ import (
 // past a 64-filter block and MaxShards.
 var hashRangeShardCounts = []int{1, 2, 8, 65, MaxShards}
 
-// hashRangeCase is one filter layout under test: a backend, a shard count,
-// a partitioning, and for bloomRF whether the shards are MaxRange-tuned.
+// hashRangeCase is one filter layout under test: a shard count, a
+// partitioning, and whether the shards are MaxRange-tuned.
 type hashRangeCase struct {
-	backend string
-	shards  int
-	part    Partitioning
-	tuned   bool
+	shards int
+	part   Partitioning
+	tuned  bool
 }
 
 func (c hashRangeCase) String() string {
-	s := fmt.Sprintf("%s/shards=%d", c.backend, c.shards)
+	s := fmt.Sprintf("bloomrf/shards=%d", c.shards)
 	if c.tuned {
 		s += "/tuned"
 	}
@@ -40,13 +39,8 @@ func (c hashRangeCase) String() string {
 func hashRangeCases() []hashRangeCase {
 	var cs []hashRangeCase
 	for _, part := range []Partitioning{PartitionHash, PartitionRange} {
-		for _, b := range Backends() {
-			for _, n := range hashRangeShardCounts {
-				cs = append(cs, hashRangeCase{backend: b, shards: n, part: part})
-				if b == BackendBloomRF {
-					cs = append(cs, hashRangeCase{backend: b, shards: n, part: part, tuned: true})
-				}
-			}
+		for _, n := range hashRangeShardCounts {
+			cs = append(cs, hashRangeCase{shards: n, part: part}, hashRangeCase{shards: n, part: part, tuned: true})
 		}
 	}
 	return cs
@@ -90,7 +84,7 @@ func newHashRangeFilter(t testing.TB, c hashRangeCase, keys []uint64) *ShardedFi
 	t.Helper()
 	opt := FilterOptions{
 		ExpectedKeys: 4096, BitsPerKey: 16, Shards: c.shards,
-		Partitioning: c.part, Backend: c.backend,
+		Partitioning: c.part,
 	}
 	if c.tuned {
 		opt.MaxRange = 1 << 24
@@ -100,9 +94,6 @@ func newHashRangeFilter(t testing.TB, c hashRangeCase, keys []uint64) *ShardedFi
 		t.Fatal(err)
 	}
 	f.InsertBatch(keys)
-	if _, ok := f.tab.Load().shards[0].f.(bloomrfShard); ok != (c.backend == BackendBloomRF) {
-		t.Fatalf("%v: shard is bloomrfShard = %v", c, ok)
-	}
 	return f
 }
 
@@ -183,8 +174,8 @@ func checkHashRanges(t testing.TB, f *ShardedFilter, ranges [][2]uint64, sizes [
 	return want
 }
 
-// TestHashRangeMatchesShards: on every backend, shard count, partitioning
-// and bloomRF layout, single and batched range queries of sizes 1, 15, 16
+// TestHashRangeMatchesShards: on every shard count, partitioning and
+// bloomRF layout, single and batched range queries of sizes 1, 15, 16
 // and 256 answer exactly the OR of the routed shards' own answers.
 func TestHashRangeMatchesShards(t *testing.T) {
 	keys := hashRangeKeys()
@@ -195,11 +186,6 @@ func TestHashRangeMatchesShards(t *testing.T) {
 			ranges := append(hashRangeInputs(rng, keys, 512), hashRangeSpecials...)
 			ranges = append(ranges, spanRanges(c.shards)...)
 			want := checkHashRanges(t, f, ranges, []int{1, 15, 16, 256})
-			if c.backend != BackendBloomRF {
-				// The Bloom filter is point-only, and small Rosetta and SuRF
-				// shards answer maybe to every range once 65 of them are ORed.
-				return
-			}
 			pos := 0
 			for _, ok := range want {
 				if ok {
@@ -227,8 +213,8 @@ func FuzzShardedRange(f *testing.F) {
 	// Range-routed layouts follow the hash-routed ones in cases.
 	hashCases := len(cases) / 2
 	f.Add(uint8(hashCases+3), uint64(1)<<62-5, uint64(1)<<62+5, uint16(255), int64(5))
-	f.Add(uint8(hashCases+17), uint64(0), ^uint64(0), uint16(16), int64(6))
-	f.Add(uint8(hashCases+24), ^uint64(0)-1000, ^uint64(0), uint16(1), int64(7))
+	f.Add(uint8(hashCases+7), uint64(0), ^uint64(0), uint16(16), int64(6))
+	f.Add(uint8(hashCases+8), ^uint64(0)-1000, ^uint64(0), uint16(1), int64(7))
 	f.Fuzz(func(t *testing.T, c uint8, lo, hi uint64, n uint16, seed int64) {
 		i := int(c) % len(cases)
 		if filters[i] == nil {

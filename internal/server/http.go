@@ -498,8 +498,8 @@ type createReq struct {
 	MaxRange     float64      `json:"max_range"`
 	Shards       int          `json:"shards"`
 	Partitioning Partitioning `json:"partitioning"`
-	// Backend picks the filter implementation: "bloomrf" (default),
-	// "bloom", "rosetta" or "surf". Unknown values are a 400.
+	// Backend names the filter implementation: "" or "bloomrf", the
+	// only servable backend. Any other value is a 400.
 	Backend string `json:"backend"`
 }
 

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -95,14 +96,16 @@ var manifestFields = []manifestField{
 		present: func(m *Manifest) bool { return m.WALPos != 0 },
 		clear:   func(m *Manifest) { m.WALPos = 0 },
 	},
-	// v4: the filter backend (backend.go), so a restored filter rebuilds
-	// its shards with the right implementation and blob codec. Required
-	// from v4 on; earlier eras restore as bloomRF, the only backend they
-	// could have written.
+	// v4: the filter backend. Required from v4 on; earlier eras restore
+	// as bloomRF, the only backend they could have written. A retired
+	// backend passes this check, so that Restore can refuse the filter by
+	// name (checkServable).
 	{
 		name: "backend", since: 4,
-		present:    func(m *Manifest) bool { return m.Options.Backend != "" },
-		valid:      func(m *Manifest) bool { return validBackend(m.Options.Backend) },
+		present: func(m *Manifest) bool { return m.Options.Backend != "" },
+		valid: func(m *Manifest) bool {
+			return m.Options.Backend == BackendBloomRF || slices.Contains(retiredBackends, m.Options.Backend)
+		},
 		setDefault: func(m *Manifest) { m.Options.Backend = BackendBloomRF },
 		clear:      func(m *Manifest) { m.Options.Backend = "" },
 	},
@@ -146,6 +149,30 @@ var manifestFields = []manifestField{
 		valid:   func(m *Manifest) bool { return m.Epoch != 0 },
 		clear:   func(m *Manifest) { m.Epoch = 0 },
 	},
+}
+
+// retiredBackends are the backends earlier builds also served behind the
+// same sharding, for the paper's comparison; the harness still runs them
+// over the LSM (internal/lsm/policies). A manifest naming one is well
+// formed but not servable.
+var retiredBackends = []string{"bloom", "rosetta", "surf"}
+
+// errRetiredBackend marks a well-formed manifest whose filter this build
+// cannot serve.
+var errRetiredBackend = errors.New("server: backend no longer served")
+
+// checkServable refuses a manifest that names a backend other than bloomRF.
+// Every snapshot of such a filter names the same backend, so falling back
+// to an older snapshot or skipping the filter would drop it; restore and
+// follower bootstrap stop instead, naming the filter and its backend. An
+// empty backend is bloomRF: v1–v3 manifests, and bootstrap manifests from
+// primaries that predate the field.
+func (m *Manifest) checkServable() error {
+	if b := m.Options.Backend; b != "" && b != BackendBloomRF {
+		return fmt.Errorf("%w: filter %q was created with backend %q; %s is the only servable backend",
+			errRetiredBackend, m.Name, b, BackendBloomRF)
+	}
+	return nil
 }
 
 // manifestVersion is the snapshot manifest schema version written by this
@@ -552,7 +579,7 @@ func (st *Store) SnapshotGuarded(name string, f *ShardedFilter, current func() b
 					st.duringShardStream(i)
 				}
 				var err error
-				n, err = writeShard(io.MultiWriter(w, crc), ss.f)
+				n, err = ss.f.WriteTo(io.MultiWriter(w, crc))
 				return err
 			})
 			if err != nil {
@@ -721,13 +748,12 @@ func (st *Store) readShardBlobs(name string, man *Manifest) ([][]byte, error) {
 // readShard restores shard i of man from r, which yields the shard's blob:
 // its snapshot file (Restore) or a replication bootstrap frame (Follower).
 // It checks as it reads — the size the manifest records and the blob's own
-// checksum (readShardFilter), and the manifest's CRC-32C — and a bloomRF
-// shard's words go straight into its word array, so the blob is never held
-// whole.
-func readShard(man *Manifest, i int, r io.Reader) (shardFilter, error) {
+// checksum (core.ReadFilter), and the manifest's CRC-32C — and the shard's
+// words go straight into its word array, so the blob is never held whole.
+func readShard(man *Manifest, i int, r io.Reader) (*core.Filter, error) {
 	ent := man.Shards[i]
 	crc := crc32.New(castagnoli)
-	f, err := readShardFilter(man.Options.Backend, io.TeeReader(r, crc), ent.Bytes)
+	f, err := core.ReadFilter(io.TeeReader(r, crc), ent.Bytes)
 	if err == nil {
 		err = ent.verifyCRC(crc.Sum32())
 	}
@@ -739,7 +765,7 @@ func readShard(man *Manifest, i int, r io.Reader) (shardFilter, error) {
 
 // restoredFilter assembles the shards readShard restored into the filter
 // man describes.
-func restoredFilter(man *Manifest, shards []shardFilter) (*ShardedFilter, error) {
+func restoredFilter(man *Manifest, shards []*core.Filter) (*ShardedFilter, error) {
 	shardKeys := make([]uint64, len(man.Shards))
 	for i, ent := range man.Shards {
 		shardKeys[i] = ent.Keys
@@ -756,7 +782,7 @@ func restoredFilter(man *Manifest, shards []shardFilter) (*ShardedFilter, error)
 // through readShard.
 func (st *Store) restoreSnap(name string, man *Manifest) (*ShardedFilter, error) {
 	snapDir := filepath.Join(st.filterDir(name), snapDirName(man.Seq))
-	shards := make([]shardFilter, len(man.Shards))
+	shards := make([]*core.Filter, len(man.Shards))
 	for i, ent := range man.Shards {
 		path, err := shardPath(snapDir, i, ent)
 		if err != nil {
@@ -804,7 +830,8 @@ func (st *Store) ReadSnapshot(name string) (Manifest, [][]byte, error) {
 // Restore rebuilds a filter from its newest intact snapshot, falling back
 // to older snapshots when the newest is incomplete (crash mid-write) or
 // fails verification. It returns ErrNoSnapshot when nothing restorable
-// exists.
+// exists, and an errRetiredBackend error, without falling back, when the
+// newest well-formed manifest names a backend other than bloomRF.
 func (st *Store) Restore(name string) (*ShardedFilter, Manifest, error) {
 	seqs, err := st.listSnaps(name)
 	if err != nil {
@@ -815,6 +842,9 @@ func (st *Store) Restore(name string) (*ShardedFilter, Manifest, error) {
 		man := st.loadManifest(name, seq)
 		if man == nil {
 			continue // incomplete or foreign directory
+		}
+		if err := man.checkServable(); err != nil {
+			return nil, Manifest{}, err
 		}
 		f, err := st.restoreSnap(name, man)
 		if err != nil {
@@ -854,8 +884,9 @@ func (st *Store) Names() ([]string, error) {
 // RestoreAll restores every filter in the store into reg, returning the
 // manifest each restored filter came from (keyed by name — recovery uses
 // the manifests' WAL positions to bound replay). Filters without a usable
-// snapshot are skipped and reported in skipped; other errors abort. Names
-// already registered are skipped as already-live.
+// snapshot are skipped and reported in skipped; a filter of a retired
+// backend (checkServable) and other errors abort. Names already registered
+// are skipped as already-live.
 func (st *Store) RestoreAll(reg *Registry) (restored map[string]Manifest, skipped map[string]error, err error) {
 	names, err := st.Names()
 	if err != nil {
@@ -865,6 +896,9 @@ func (st *Store) RestoreAll(reg *Registry) (restored map[string]Manifest, skippe
 	skipped = make(map[string]error)
 	for _, name := range names {
 		f, man, err := st.Restore(name)
+		if errors.Is(err, errRetiredBackend) {
+			return nil, nil, err
+		}
 		if err != nil {
 			skipped[name] = err
 			continue

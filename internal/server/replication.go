@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -615,7 +616,8 @@ var errEpochSuperseded = errors.New("superseded by a higher epoch")
 var errEpochResync = errors.New("resyncing into the new epoch")
 
 // Run streams from the primary until ctx is cancelled, Stop is called, or
-// a terminal condition (higher epoch with step-down disabled) is hit,
+// a terminal condition (higher epoch with step-down disabled, or a
+// bootstrap filter of a retired backend) is hit,
 // reconnecting with jittered exponential backoff on any other error. It
 // blocks; bloomrfd runs it on its own goroutine.
 func (fo *Follower) Run(ctx context.Context) {
@@ -631,8 +633,8 @@ func (fo *Follower) Run(ctx context.Context) {
 		if ctx.Err() != nil || fo.stopped() {
 			return
 		}
-		if errors.Is(err, errEpochSuperseded) {
-			fo.logf("bloomrfd: replication: %v; stopping (step-down disabled)", err)
+		if fo.TerminalErr() != nil {
+			fo.logf("bloomrfd: replication: %v; stopping", err)
 			return
 		}
 		if wasConnected {
@@ -671,7 +673,7 @@ func (fo *Follower) Run(ctx context.Context) {
 // the follower never holds a copy of the blobs.
 type pendingRestore struct {
 	man    Manifest
-	shards []shardFilter
+	shards []*core.Filter
 }
 
 // stream opens one connection and applies frames until it breaks.
@@ -734,6 +736,9 @@ func (fo *Follower) stream(ctx context.Context) error {
 			}
 			if man.Name == "" || len(man.Shards) == 0 {
 				return errors.New("bootstrap manifest without name or shards")
+			}
+			if err := man.checkServable(); err != nil {
+				return fo.setTerminal(fmt.Errorf("bootstrap: %w", err))
 			}
 			cur = &pendingRestore{man: man}
 			if _, dup := pending[man.Name]; !dup {

@@ -44,10 +44,10 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -99,12 +99,16 @@ type FilterOptions struct {
 	// snapshot manifests from before the field existed restore as. An
 	// empty value is omitted from JSON, as those manifests omit it.
 	Partitioning Partitioning `json:"partitioning,omitempty"`
-	// Backend selects the filter implementation behind every shard:
-	// "bloomrf" (default), "bloom", "rosetta" or "surf" (backend.go).
-	// Empty means bloomRF, which is also what snapshot manifests from
-	// before the field existed (v1–v3) restore as.
+	// Backend names the filter implementation behind every shard. The
+	// server serves bloomRF only: "" and "bloomrf" are accepted, and
+	// Options reports "bloomrf". Manifests record it from v4 on
+	// (persist.go); earlier builds also served "bloom", "rosetta" and
+	// "surf", which are now refused.
 	Backend string `json:"backend,omitempty"`
 }
+
+// BackendBloomRF is the one backend the server serves.
+const BackendBloomRF = "bloomrf"
 
 // Defaults applied by NewSharded for zero option fields.
 const (
@@ -140,7 +144,7 @@ type SnapshotInfo struct {
 // by pointer between consecutive shard tables, so a split replaces only the
 // shard it divides and counters on surviving shards never miss an update.
 type shardState struct {
-	f shardFilter
+	f *core.Filter
 
 	// mu serializes marshals against inserts: insert paths hold the read
 	// side (shared, so inserts still run in parallel) and captures hold the
@@ -227,7 +231,7 @@ type shardTable struct {
 // newShardTable pairs states with a partitioner, assigning each state its
 // owned span (and histogram bucket width) from the partitioner's span
 // table.
-func newShardTable(part partitioner, filters []shardFilter, epoch uint64) *shardTable {
+func newShardTable(part partitioner, filters []*core.Filter, epoch uint64) *shardTable {
 	starts := part.spans()
 	shards := make([]*shardState, len(filters))
 	for i, f := range filters {
@@ -330,7 +334,11 @@ func NewSharded(opt FilterOptions) (*ShardedFilter, error) {
 	}
 	tab := s.tab.Load()
 	for i := range tab.shards {
-		f, err := newShardFilter(s.opt, perShard)
+		if s.opt.MaxRange == 0 {
+			tab.shards[i].f = core.NewBasic(perShard, s.opt.BitsPerKey)
+			continue
+		}
+		f, _, err := core.NewTuned(core.TuneOptions{N: perShard, BitsPerKey: s.opt.BitsPerKey, MaxRange: s.opt.MaxRange})
 		if err != nil {
 			return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 		}
@@ -372,9 +380,9 @@ func newShardedShell(opt *FilterOptions) (*ShardedFilter, uint64, error) {
 	if opt.Backend == "" {
 		opt.Backend = BackendBloomRF
 	}
-	if !validBackend(opt.Backend) {
-		return nil, 0, fmt.Errorf("server: unknown backend %q (have %s)",
-			opt.Backend, strings.Join(Backends(), ", "))
+	if opt.Backend != BackendBloomRF {
+		return nil, 0, fmt.Errorf("server: backend %q is not served; %s is the only servable backend",
+			opt.Backend, BackendBloomRF)
 	}
 	part, err := newPartitioner(opt.Partitioning, uint64(opt.Shards))
 	if err != nil {
@@ -385,7 +393,7 @@ func newShardedShell(opt *FilterOptions) (*ShardedFilter, uint64, error) {
 		perShard = 1
 	}
 	s := &ShardedFilter{opt: *opt}
-	s.tab.Store(newShardTable(part, make([]shardFilter, opt.Shards), 0))
+	s.tab.Store(newShardTable(part, make([]*core.Filter, opt.Shards), 0))
 	return s, perShard, nil
 }
 
@@ -397,7 +405,7 @@ func newShardedShell(opt *FilterOptions) (*ShardedFilter, uint64, error) {
 // gauges. spans, when non-nil (v5 range-mode manifests), is the span-start
 // table — required to restore a filter whose spans a split made non-uniform;
 // nil restores the uniform create-time spans.
-func restoreSharded(opt FilterOptions, shards []shardFilter, insertedKeys uint64, shardKeys []uint64, spans []uint64) (*ShardedFilter, error) {
+func restoreSharded(opt FilterOptions, shards []*core.Filter, insertedKeys uint64, shardKeys []uint64, spans []uint64) (*ShardedFilter, error) {
 	s, _, err := newShardedShell(&opt)
 	if err != nil {
 		return nil, err
@@ -691,7 +699,7 @@ func (s *ShardedFilter) Stats() ShardedStats {
 	}
 	var maxKeys, sumKeys uint64
 	for i, ss := range tab.shards {
-		fst := ss.f.stats()
+		fst := ss.f.Stats()
 		st.SizeBits += fst.SizeBits
 		st.SetBits += fst.SetBits
 		st.K = fst.K

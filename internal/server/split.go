@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -181,7 +182,7 @@ func (s *ShardedFilter) Split(name string, opt SplitOptions, l *wal.Log) (SplitR
 	s.hook("captured")
 
 	// Phase 3: materialize the two replacements from the captured blob.
-	left, right, err := materializePair(s.opt.Backend, blob)
+	left, right, err := materializePair(blob)
 	if err != nil {
 		return SplitResult{}, fmt.Errorf("server: split %q shard %d: %w", name, h, err)
 	}
@@ -240,7 +241,7 @@ func (s *ShardedFilter) Split(name string, opt SplitOptions, l *wal.Log) (SplitR
 		// under the write lock, where nothing can race the marshal.
 		blob2, err := ss.f.MarshalBinary()
 		if err == nil {
-			left, right, err = materializePair(s.opt.Backend, blob2)
+			left, right, err = materializePair(blob2)
 		}
 		if err != nil {
 			ss.mu.Unlock()
@@ -329,11 +330,11 @@ func pickSplitKey(ss *shardState) uint64 {
 // filter instances — the left and right replacements. Each starts as a
 // bit-identical clone of the old shard: a superset of what its narrowed
 // span owns, never a subset, so no acknowledged key can turn up missing.
-func materializePair(backend string, blob []byte) (left, right shardFilter, err error) {
-	if left, err = unmarshalShardFilter(backend, blob); err != nil {
+func materializePair(blob []byte) (left, right *core.Filter, err error) {
+	if left, err = core.UnmarshalFilter(blob); err != nil {
 		return nil, nil, fmt.Errorf("materializing left replacement: %w", err)
 	}
-	if right, err = unmarshalShardFilter(backend, blob); err != nil {
+	if right, err = core.UnmarshalFilter(blob); err != nil {
 		return nil, nil, fmt.Errorf("materializing right replacement: %w", err)
 	}
 	return left, right, nil
@@ -344,7 +345,7 @@ func materializePair(backend string, blob []byte) (left, right shardFilter, err 
 // over by pointer, and the epoch increments. The replacement states start
 // with zeroed counters and histograms; divideCounters apportions the
 // retired shard's counters at swap time.
-func splitTable(tab *shardTable, h int, m uint64, left, right shardFilter) (*shardTable, error) {
+func splitTable(tab *shardTable, h int, m uint64, left, right *core.Filter) (*shardTable, error) {
 	starts := slices.Insert(slices.Clone(tab.part.spans()), h+1, m+1)
 	part, err := newSpanPartitioner(starts)
 	if err != nil {
