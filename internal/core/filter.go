@@ -53,6 +53,9 @@ type Filter struct {
 	planKey    [16]byte
 	planKeyOK  bool
 	geo        unique.Handle[geometry]
+
+	// self is the set of f alone: f's own probes are its probes.
+	self FilterSet
 }
 
 // New creates a filter from a validated Config.
@@ -112,6 +115,7 @@ func New(cfg Config) (*Filter, error) {
 	if f.planKeyOK {
 		f.geo = unique.Make(geometryOf(f))
 	}
+	f.self = NewFilterSet([]*Filter{f})
 	return f, nil
 }
 
@@ -206,7 +210,7 @@ func (f *Filter) wordPos(layer, replica int, g uint64) (seg *bitArray, bitPos ui
 // patterns that would otherwise pile every layer onto the same in-word
 // offset. Insert, point and covering probes know the prefix and use the
 // exact orientation; decomposition runs test both orientations in the same
-// single word access (see testRangeLayer).
+// single word access (see runMask).
 func (f *Filter) reversedPrefix(layer int, prefix uint64) bool {
 	if !f.permute {
 		return false
@@ -246,26 +250,9 @@ func (f *Filter) Insert(x uint64) {
 // definitely absent; true means present with probability 1 − FPR.
 // Safe for concurrent use with Insert.
 func (f *Filter) MayContain(x uint64) bool {
-	ok := f.mayContain(x)
-	runtime.KeepAlive(f)
+	ok := f.pointEach(x, &f.self, 1) != 0
+	runtime.KeepAlive(f) // the words' owner (bitArray)
 	return ok
-}
-
-func (f *Filter) mayContain(x uint64) bool {
-	if f.hasExact && !f.exact.getBit(rsh(x, f.exactLevel)) {
-		return false
-	}
-	// Probe top-down: upper layers are sparser early in the filter's life,
-	// which makes negative probes cheap (error-correction order, §3.2).
-	for i := f.k - 1; i >= 0; i-- {
-		for r := 0; r < f.replicas[i]; r++ {
-			seg, pos := f.layerBit(i, r, x)
-			if !seg.getBit(pos) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Config returns a copy of the filter's configuration.

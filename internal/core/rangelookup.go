@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
+
+	"repro/internal/hashutil"
 )
 
 // Paths of the two-path range lookup. Algorithm 1 follows one prefix path
@@ -158,48 +160,9 @@ func (p *rangePlan) layer(i int, live uint8, l *planLayer) {
 // word accesses per path per layer, giving O(k) time independent of the
 // range size.
 func (f *Filter) MayContainRange(lo, hi uint64) bool {
-	lo, hi, ok := f.clampRange(lo, hi)
-	ok = ok && f.execPlan(newRangePlan(lo, hi, f.planLevels))
+	ok := f.rangeEach(lo, hi, &f.self, 1) != 0
 	runtime.KeepAlive(f) // the words' owner (bitArray)
 	return ok
-}
-
-// execPlan runs a plan against f, whose layout must share it.
-func (f *Filter) execPlan(p rangePlan) bool {
-	i := p.top()
-	for ; i >= 0 && p.single(i); i-- {
-		pre := rsh(p.lo, p.levels[i])
-		if p.dyadic(i) {
-			return f.testRangeLayer(i, pre, pre)
-		}
-		// The only path: a cleared bit is an early negative (Algorithm 1,
-		// L.8).
-		if !f.testCovering(i, pre) {
-			return false
-		}
-	}
-	return f.execSplit(p, i)
-}
-
-// execSplit runs the second phase of a plan against f, from layer i, where
-// the path splits.
-func (f *Filter) execSplit(p rangePlan, i int) bool {
-	var l planLayer
-	for live := pathS; i >= 0 && live != 0; i-- {
-		p.layer(i, live, &l)
-		live = 0
-		for k := 0; k < l.n; k++ {
-			c := &l.checks[k]
-			if c.give == 0 {
-				if f.testRangeLayer(i, c.lo, c.hi) {
-					return true
-				}
-			} else if f.testCovering(i, c.lo) {
-				live |= c.give
-			}
-		}
-	}
-	return false
 }
 
 // maxSet is the most filters a FilterSet holds, so that a subset of them
@@ -207,15 +170,19 @@ func (f *Filter) execSplit(p rangePlan, i int) bool {
 const maxSet = 64
 
 // FilterSet probes up to 64 filters at once: its MayContain and
-// MayContainRange return a mask whose bit j is fs[j]'s own answer. The
-// filters that share fs[0]'s layout — the same domain, level deltas,
+// MayContainRange return a mask whose bit j is fs[j]'s own answer. It is
+// the core's one probe engine: a Filter probes the set of itself alone.
+//
+// The filters that share fs[0]'s layout — the same domain, level deltas,
 // replicas, exact layer, word permutation and scan bound, with any segment
 // sizes — are probed from one plan, layer-major: each layer's checks are
 // worked out once for all of them, each covering and each run's word group
 // is hashed once per replica, and their word loads issue back to back.
 // Those that also have fs[0]'s geometry (each layer's segment, and the
 // segment sizes) share the hash's reduction to a word index too, so that
-// each costs one word load per check. The others answer alone.
+// each costs one word load per check. The others are probed in the same
+// way, each alone from its own plan; a filter alone is tested with no
+// masks.
 //
 // A set of filters that never change again (NewFrozenFilterSet) may also
 // keep one lane word per exact prefix, as a bit-sliced signature file
@@ -350,22 +317,15 @@ func (s *FilterSet) lane(p uint64) uint64 {
 const laneRunMax = 64
 
 // MayContain returns the mask of the filters in s that may hold x: bit j
-// is fs[j].MayContain(x). The shared filters test the exact layer, then
-// the probabilistic layers top-down, as a single probe does, and drop out
-// at their first cleared bit.
+// is fs[j].MayContain(x).
 func (s *FilterSet) MayContain(x uint64) uint64 {
 	var out uint64
-	for m := s.others; m != 0; m &= m - 1 {
-		if j := bits.TrailingZeros64(m); s.fs[j].mayContain(x) {
-			out |= 1 << j
-		}
+	if s.shared != 0 {
+		out = s.fs[0].pointEach(x, s, s.shared)
 	}
-	if cand := s.shared; cand != 0 {
-		f := s.fs[0]
-		for i := len(f.planLevels) - 1; i >= 0 && cand != 0; i-- {
-			cand = f.coveringEach(i, rsh(x, f.planLevels[i]), s, cand)
-		}
-		out |= cand
+	for m := s.others; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		out |= s.fs[j].pointEach(x, s, 1<<j)
 	}
 	runtime.KeepAlive(s.fs) // every filter, and with it its words' owner
 	return out
@@ -375,84 +335,179 @@ func (s *FilterSet) MayContain(x uint64) uint64 {
 // in [lo, hi]: bit j is fs[j].MayContainRange(lo, hi).
 func (s *FilterSet) MayContainRange(lo, hi uint64) uint64 {
 	var out uint64
-	for m := s.others; m != 0; m &= m - 1 {
-		if j := bits.TrailingZeros64(m); s.fs[j].MayContainRange(lo, hi) {
-			out |= 1 << j
-		}
-	}
 	if s.shared != 0 {
-		f := s.fs[0] // the layout: levels, word shifts, replicas, hashes; the geometry
-		if lo, hi, ok := f.clampRange(lo, hi); ok {
-			out |= f.execEach(newRangePlan(lo, hi, f.planLevels), s)
-		}
+		out = s.fs[0].rangeEach(lo, hi, s, s.shared)
+	}
+	for m := s.others; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		out |= s.fs[j].rangeEach(lo, hi, s, 1<<j)
 	}
 	runtime.KeepAlive(s.fs)
 	return out
 }
 
-// execEach runs a plan made for f's layout, f = s.fs[0], against the
-// shared filters of s and returns the mask of those that test positive.
-func (f *Filter) execEach(p rangePlan, s *FilterSet) uint64 {
-	shared := s.shared
+// pointEach tests x on the filters of s in cand, which share f's plan, and
+// returns the mask of those that may hold it. They test the exact layer,
+// then the probabilistic layers top-down, and drop out at their first
+// cleared bit: upper layers are sparser early in a filter's life, which
+// makes negative probes cheap (error-correction order, §3.2).
+//
+// A group of one filter is its own lead, so when cand holds one filter,
+// it is f; pointEach and rangeEach then test f alone, with no masks.
+func (f *Filter) pointEach(x uint64, s *FilterSet, cand uint64) uint64 {
+	alone := f.alone(cand)
+	lv := f.planLevels
+	for i := len(lv) - 1; i >= 0; i-- {
+		if cand = f.covering(alone, i, rsh(x, lv[i]), s, cand); cand == 0 {
+			return 0
+		}
+	}
+	return cand
+}
+
+// rangeEach probes [lo, hi] on the filters of s in cand, which share f's
+// plan, and returns the mask of those that may hold a key in it: it runs
+// the plan of [lo, hi] for f's layout.
+func (f *Filter) rangeEach(lo, hi uint64, s *FilterSet, cand uint64) uint64 {
+	lo, hi, ok := f.clampRange(lo, hi)
+	if !ok {
+		return 0
+	}
+	// Set field by field, not copied from newRangePlan's result: loading a
+	// copy of a plan just stored stalls on its stores.
+	var p rangePlan
+	p.lo, p.hi, p.levels, p.split = lo, hi, f.planLevels, bits.Len64(lo^hi)
+	alone := f.alone(cand)
 	i := p.top()
 	for ; i >= 0 && p.single(i); i-- {
 		pre := rsh(p.lo, p.levels[i])
 		if p.dyadic(i) {
-			return f.runEach(i, pre, pre, s, shared)
+			return f.run(alone, i, pre, pre, s, cand)
 		}
-		if shared = f.coveringEach(i, pre, s, shared); shared == 0 {
+		// The only path: a cleared bit is an early negative (Algorithm 1,
+		// L.8).
+		if cand = f.covering(alone, i, pre, s, cand); cand == 0 {
 			return 0
 		}
 	}
-	// live[x] is the set of filters on which path 1<<x is alive.
-	var live, next [3]uint64
-	live[0] = shared
+	// live[x>>1] is the set of filters on which path x is alive. A filter
+	// that has tested positive (out) drops out of them all.
+	var live, next [4]uint64
+	live[pathS>>1] = cand
 	var l planLayer
 	var out uint64
-	for ; i >= 0; i-- {
-		var alive uint8
-		for x, m := range live {
-			if m != 0 {
-				alive |= 1 << x
-			}
-		}
-		if alive == 0 {
-			break
-		}
+	for alive := pathS; i >= 0 && alive != 0; i-- {
 		p.layer(i, alive, &l)
 		for k := 0; k < l.n; k++ {
 			c := &l.checks[k]
-			cand := live[bits.TrailingZeros8(c.need)]
-			if cand == 0 {
-				continue
-			}
-			if c.give != 0 {
-				next[bits.TrailingZeros8(c.give)] |= f.coveringEach(i, c.lo, s, cand)
-				continue
-			}
-			hit := f.runEach(i, c.lo, c.hi, s, cand)
-			out |= hit
-			for x := range live {
-				live[x] &^= hit
-				next[x] &^= hit
+			cand := live[c.need>>1&3] &^ out
+			switch {
+			case cand == 0:
+			case c.give == 0:
+				out |= f.run(alone, i, c.lo, c.hi, s, cand)
+			default:
+				next[c.give>>1&3] |= f.covering(alone, i, c.lo, s, cand)
 			}
 		}
-		live, next = next, [3]uint64{}
+		alive = 0
+		if live[pathL>>1] = next[pathL>>1] &^ out; live[pathL>>1] != 0 {
+			alive |= pathL
+		}
+		if live[pathR>>1] = next[pathR>>1] &^ out; live[pathR>>1] != 0 {
+			alive |= pathR
+		}
+		next[pathL>>1], next[pathR>>1] = 0, 0
 	}
 	return out
 }
 
-// coveringEach is testCovering on layer i for every filter in s whose bit
-// is set in cand; it returns the mask of those whose covering bit is set.
-// The word group is hashed once per replica for all of them, and the hash
-// reduced once for those of f's geometry.
+// alone reports whether cand holds f alone, to be tested by covering and
+// run inline. A filter whose hash a test overrides takes coveringEach and
+// runEach, which call that hash, even alone.
+func (f *Filter) alone(cand uint64) bool {
+	return cand&(cand-1) == 0 && f.hashOverride == nil
+}
+
+// covering tests the covering bit of prefix on layer i (i = k: the exact
+// bitmap) in the filters of s in cand and returns the mask of those whose
+// bit is set: with replicated hash functions, set in every replica. It
+// tests f alone, when alone, with the hash and its reduction inline, and
+// the filters of a larger group through coveringEach.
+func (f *Filter) covering(alone bool, i int, prefix uint64, s *FilterSet, cand uint64) uint64 {
+	if !alone {
+		return f.coveringEach(i, prefix, s, cand)
+	}
+	if i == f.k {
+		if f.exact.getBit(prefix) {
+			return cand
+		}
+		return 0
+	}
+	ws := f.wshift[i]
+	g := prefix >> ws
+	off := prefix & lowMask(ws)
+	if f.reversedPrefix(i, prefix) {
+		off = lowMask(ws) - off
+	}
+	seg, m := &f.segs[f.segID[i]], &f.mods[i]
+	for _, seed := range f.seeds[i] {
+		if !seg.getBit(m.mod(hashutil.Hash64(g, seed))<<ws + off) {
+			return 0
+		}
+	}
+	return cand
+}
+
+// run tests whether any dyadic interval with prefix in [pa, pb] (at layer
+// i's level) has its bit set, in the filters of s in cand, and returns the
+// mask of those where one has. On the exact layer the answer is
+// authoritative. On probabilistic layers the run is scanned word group by
+// word group; each group costs one masked word access per replica, and
+// runs beyond maxScan groups conservatively test positive (never a false
+// negative). It tests f alone, when alone, as covering does, and the
+// filters of a larger group through runEach.
+func (f *Filter) run(alone bool, i int, pa, pb uint64, s *FilterSet, cand uint64) uint64 {
+	if !alone {
+		return f.runEach(i, pa, pb, s, cand)
+	}
+	if i == f.k {
+		if f.exact.anySet(pa, pb) {
+			return cand
+		}
+		return 0
+	}
+	ws := f.wshift[i]
+	wbits := uint64(1) << ws
+	ga, gb := pa>>ws, pb>>ws
+	if gb-ga >= f.maxScan {
+		return cand
+	}
+	seg, m := &f.segs[f.segID[i]], &f.mods[i]
+	for g := ga; g <= gb; g++ {
+		w := ^uint64(0)
+		for _, seed := range f.seeds[i] {
+			w &= seg.loadSub(m.mod(hashutil.Hash64(g, seed))<<ws, uint(wbits))
+		}
+		if w&runMask(pa, pb, g, ga, gb, wbits, f.permute) != 0 {
+			return cand
+		}
+	}
+	return 0
+}
+
+// coveringEach is covering on layer i for every filter in s whose bit
+// is set in cand, several of which share f's plan; it returns the mask of
+// those whose covering bit is set. The word group is hashed once per
+// replica for all of them, and the hash reduced once for those of f's
+// geometry. The test is branch-free, so that the filters' word loads
+// overlap. The lanes serve fs[0]'s group only: the filters that share its
+// plan.
 func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
 	if i == f.k {
-		if s.hasLanes() {
+		if s.hasLanes() && f == fs[0] {
 			return cand & s.lane(prefix)
 		}
-		// Branch-free, so that the filters' word loads overlap.
 		for m := cand; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			w := fs[j].exact.loadWord(prefix)
@@ -482,14 +537,14 @@ func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) u
 	return cand
 }
 
-// runEach is testRangeLayer on layer i for every filter in s whose bit is
-// set in cand; it returns the mask of those with a set bit in the run. Each
-// word group is hashed once per replica for all of them, and the hash
-// reduced once for those of f's geometry.
+// runEach is run on layer i for every filter in s whose bit is set in
+// cand, several of which share f's plan; it returns the mask of those with
+// a set bit in the run. Each word group is hashed once per replica for all
+// of them, and the hash reduced once for those of f's geometry.
 func (f *Filter) runEach(i int, pa, pb uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
 	if i == f.k {
-		if s.hasLanes() && pb-pa < laneRunMax {
+		if s.hasLanes() && f == fs[0] && pb-pa < laneRunMax {
 			var any uint64
 			for p := pa; p <= pb; p++ {
 				any |= s.lane(p)
@@ -545,58 +600,6 @@ func (f *Filter) runEach(i int, pa, pb uint64, s *FilterSet, cand uint64) uint64
 func (g *Filter) sharesPlan(f *Filter) bool {
 	return g == f || g.planKeyOK && f.planKeyOK && g.planKey == f.planKey && g.maxScan == f.maxScan &&
 		g.hashOverride == nil && f.hashOverride == nil
-}
-
-// testCovering tests the single bit of the dyadic interval identified by
-// prefix on layer i (i = k: exact bitmap). With replicated hash functions
-// the bit must be set in every replica.
-func (f *Filter) testCovering(i int, prefix uint64) bool {
-	if i == f.k {
-		return f.exact.getBit(prefix)
-	}
-	ws := f.wshift[i]
-	g := prefix >> ws
-	off := prefix & lowMask(ws)
-	if f.reversedPrefix(i, prefix) {
-		off = lowMask(ws) - off
-	}
-	for r := 0; r < f.replicas[i]; r++ {
-		seg, base := f.wordPos(i, r, g)
-		if !seg.getBit(base + off) {
-			return false
-		}
-	}
-	return true
-}
-
-// testRangeLayer tests whether any dyadic interval with prefix in [pa, pb]
-// (at layer i's level) has its bit set. On the exact layer the answer is
-// authoritative. On probabilistic layers the run is scanned word-group by
-// word-group; each group costs one masked word access per replica, and runs
-// beyond maxScan groups conservatively return true (never a false
-// negative).
-func (f *Filter) testRangeLayer(i int, pa, pb uint64) bool {
-	if i == f.k {
-		return f.exact.anySet(pa, pb)
-	}
-	ws := f.wshift[i]
-	wbits := uint64(1) << ws
-	ga, gb := pa>>ws, pb>>ws
-	if gb-ga >= f.maxScan {
-		return true
-	}
-	for g := ga; g <= gb; g++ {
-		mask := runMask(pa, pb, g, ga, gb, wbits, f.permute)
-		w := ^uint64(0)
-		for r := 0; r < f.replicas[i]; r++ {
-			seg, base := f.wordPos(i, r, g)
-			w &= seg.loadSub(base, uint(wbits))
-		}
-		if w&mask != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // runMask selects, in word group g of a run of prefixes pa..pb spanning

@@ -14,9 +14,10 @@ const (
 )
 
 // mayContainRangeRef is MayContainRange as it was before the lookup was
-// split into a plan and its execution: Algorithm 1 as one traversal that
-// tests as it walks. It is the reference the plan executions must match
-// bit for bit.
+// split into a plan and its execution: Algorithm 1 as one filter's own
+// traversal that tests as it walks, with coveringRef and runRef as its
+// leaf tests. It is the reference the range probes of filters and sets
+// must match bit for bit.
 func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 	if lo > hi {
 		lo, hi = hi, lo
@@ -45,9 +46,9 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 	switch {
 	case pl == pr && alignedLeft(lo, L) && alignedRight(hi, L):
 		// The query is exactly one dyadic interval: a single test decides.
-		return f.testRangeLayer(top, pl, pl)
+		return f.runRef(top, pl, pl)
 	case pl == pr:
-		if !f.testCovering(top, pl) {
+		if !f.coveringRef(top, pl) {
 			return false
 		}
 		covs[0] = refCovSingle
@@ -56,19 +57,19 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 		la, lb := pl, pr
 		if !alignedLeft(lo, L) {
 			la = pl + 1
-			if f.testCovering(top, pl) {
+			if f.coveringRef(top, pl) {
 				covs[ncov] = refCovLeft
 				ncov++
 			}
 		}
 		if !alignedRight(hi, L) {
 			lb = pr - 1
-			if f.testCovering(top, pr) {
+			if f.coveringRef(top, pr) {
 				covs[ncov] = refCovRight
 				ncov++
 			}
 		}
-		if la <= lb && f.testRangeLayer(top, la, lb) {
+		if la <= lb && f.runRef(top, la, lb) {
 			return true
 		}
 		if ncov == 0 {
@@ -91,11 +92,11 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 				cpl, cpr := rsh(lo, childLevel), rsh(hi, childLevel)
 				if cpl == cpr {
 					if alignedLeft(lo, childLevel) && alignedRight(hi, childLevel) {
-						return f.testRangeLayer(i-1, cpl, cpl)
+						return f.runRef(i-1, cpl, cpl)
 					}
 					// A single covering is the only active path, so a
 					// cleared bit is an early negative (Algorithm 1, L.8).
-					if !f.testCovering(i-1, cpl) {
+					if !f.coveringRef(i-1, cpl) {
 						return false
 					}
 					next[n2] = refCovSingle
@@ -105,19 +106,19 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 				la, lb := cpl, cpr
 				if !alignedLeft(lo, childLevel) {
 					la = cpl + 1
-					if f.testCovering(i-1, cpl) {
+					if f.coveringRef(i-1, cpl) {
 						next[n2] = refCovLeft
 						n2++
 					}
 				}
 				if !alignedRight(hi, childLevel) {
 					lb = cpr - 1
-					if f.testCovering(i-1, cpr) {
+					if f.coveringRef(i-1, cpr) {
 						next[n2] = refCovRight
 						n2++
 					}
 				}
-				if la <= lb && f.testRangeLayer(i-1, la, lb) {
+				if la <= lb && f.runRef(i-1, la, lb) {
 					return true
 				}
 			case refCovLeft:
@@ -126,12 +127,12 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 				la := cpl
 				if !alignedLeft(lo, childLevel) {
 					la = cpl + 1
-					if f.testCovering(i-1, cpl) {
+					if f.coveringRef(i-1, cpl) {
 						next[n2] = refCovLeft
 						n2++
 					}
 				}
-				if la <= parentEnd && f.testRangeLayer(i-1, la, parentEnd) {
+				if la <= parentEnd && f.runRef(i-1, la, parentEnd) {
 					return true
 				}
 			case refCovRight:
@@ -140,12 +141,12 @@ func (f *Filter) mayContainRangeRef(lo, hi uint64) bool {
 				lb := cpr
 				if !alignedRight(hi, childLevel) {
 					lb = cpr - 1
-					if f.testCovering(i-1, cpr) {
+					if f.coveringRef(i-1, cpr) {
 						next[n2] = refCovRight
 						n2++
 					}
 				}
-				if parentStart <= lb && f.testRangeLayer(i-1, parentStart, lb) {
+				if parentStart <= lb && f.runRef(i-1, parentStart, lb) {
 					return true
 				}
 			}
@@ -168,6 +169,80 @@ func (f *Filter) levelAtRef(i int) uint {
 		return f.exactLevel
 	}
 	return f.levels[i]
+}
+
+// coveringRef tests the single bit of the dyadic interval identified by
+// prefix on layer i (i = k: exact bitmap). With replicated hash functions
+// the bit must be set in every replica.
+func (f *Filter) coveringRef(i int, prefix uint64) bool {
+	if i == f.k {
+		return f.exact.getBit(prefix)
+	}
+	ws := f.wshift[i]
+	g := prefix >> ws
+	off := prefix & lowMask(ws)
+	if f.reversedPrefix(i, prefix) {
+		off = lowMask(ws) - off
+	}
+	for r := 0; r < f.replicas[i]; r++ {
+		seg, base := f.wordPos(i, r, g)
+		if !seg.getBit(base + off) {
+			return false
+		}
+	}
+	return true
+}
+
+// runRef tests whether any dyadic interval with prefix in [pa, pb] (at
+// layer i's level) has its bit set. On the exact layer the answer is
+// authoritative. On probabilistic layers the run is scanned word-group by
+// word-group; each group costs one masked word access per replica, and runs
+// beyond maxScan groups conservatively return true (never a false
+// negative).
+func (f *Filter) runRef(i int, pa, pb uint64) bool {
+	if i == f.k {
+		return f.exact.anySet(pa, pb)
+	}
+	ws := f.wshift[i]
+	wbits := uint64(1) << ws
+	ga, gb := pa>>ws, pb>>ws
+	if gb-ga >= f.maxScan {
+		return true
+	}
+	for g := ga; g <= gb; g++ {
+		mask := runMask(pa, pb, g, ga, gb, wbits, f.permute)
+		w := ^uint64(0)
+		for r := 0; r < f.replicas[i]; r++ {
+			seg, base := f.wordPos(i, r, g)
+			w &= seg.loadSub(base, uint(wbits))
+		}
+		if w&mask != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// mayContainRef is the point probe as one filter's own traversal: the
+// exact bit, then every replica's bit on each layer, top-down. It is the
+// reference the point probes of filters and sets must match.
+
+// mayContainRef is the point probe as one filter's own traversal: the
+// exact bit, then each replica's bit on each layer, top-down. It is the
+// reference the point probes of filters and sets must match.
+func (f *Filter) mayContainRef(x uint64) bool {
+	if f.hasExact && !f.exact.getBit(rsh(x, f.exactLevel)) {
+		return false
+	}
+	for i := f.k - 1; i >= 0; i-- {
+		for r := 0; r < f.replicas[i]; r++ {
+			seg, pos := f.layerBit(i, r, x)
+			if !seg.getBit(pos) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // planFamily is a set of filters that share one layout but differ in
@@ -219,14 +294,17 @@ func (fam *planFamily) buildSets() {
 	}
 }
 
-// checkSet compares each set of fam.sets with its filters' own answers,
-// as probe returns them for one filter and as mask returns them for the
-// set.
-func checkSet(t *testing.T, fam planFamily, what string, probe func(*Filter) bool, mask func(*FilterSet) uint64) {
+// checkSet compares each filter's own probe, as probe returns it, and
+// each set of fam.sets, as mask returns it, with the reference answers
+// that ref returns for one filter.
+func checkSet(t *testing.T, fam planFamily, what string, ref, probe func(*Filter) bool, mask func(*FilterSet) uint64) {
 	t.Helper()
-	want := map[*Filter]bool{fam.foreign: probe(fam.foreign)}
-	for _, f := range fam.same {
-		want[f] = probe(f)
+	want := map[*Filter]bool{}
+	for j, f := range append([]*Filter{fam.foreign}, fam.same...) {
+		want[f] = ref(f)
+		if got := probe(f); got != want[f] {
+			t.Fatalf("filter %d: %s = %v, reference %v", j-1, what, got, want[f])
+		}
 	}
 	for n, fss := range fam.sets {
 		var wantMask uint64
@@ -240,18 +318,20 @@ func checkSet(t *testing.T, fam planFamily, what string, probe func(*Filter) boo
 			set  *FilterSet
 		}{{"live", &fss.live}, {"frozen", &fss.frozen}} {
 			if got := mask(c.set); got != wantMask {
-				t.Fatalf("%s set %d of %d filters (lanes: %v): %s = %#x, the filters' own answers %#x",
+				t.Fatalf("%s set %d of %d filters (lanes: %v): %s = %#x, the reference %#x",
 					c.kind, n, len(fss.fs), c.set.hasLanes(), what, got, wantMask)
 			}
 		}
 	}
 }
 
-// checkPoint compares FilterSet.MayContain with each filter's MayContain.
+// checkPoint compares MayContain, of each filter and of each set, with
+// mayContainRef.
 func checkPoint(t *testing.T, fam planFamily, x uint64) {
 	t.Helper()
 	x &= lowMask(min(fam.same[0].domain, fam.foreign.domain))
 	checkSet(t, fam, fmt.Sprintf("MayContain(%d)", x),
+		func(f *Filter) bool { return f.mayContainRef(x) },
 		func(f *Filter) bool { return f.MayContain(x) },
 		func(s *FilterSet) uint64 { return s.MayContain(x) })
 }
@@ -321,25 +401,12 @@ func planFamilies(tb testing.TB) []planFamily {
 	return fams
 }
 
-// checkPlan compares every way of running a range probe with the
-// reference: MayContainRange, a plan made for one filter executed against
-// each filter of its layout, and FilterSet.MayContainRange over every set
-// of fam.sets, with lanes and without.
+// checkPlan compares MayContainRange, of each filter and of each set of
+// fam.sets, with lanes and without, with mayContainRangeRef.
 func checkPlan(t *testing.T, fam planFamily, lo, hi uint64) {
 	t.Helper()
-	for j, f := range append([]*Filter{fam.foreign}, fam.same...) {
-		if got, want := f.MayContainRange(lo, hi), f.mayContainRangeRef(lo, hi); got != want {
-			t.Fatalf("filter %d: MayContainRange(%d, %d) = %v, reference %v", j-1, lo, hi, got, want)
-		}
-	}
-	plo, phi, ok := fam.same[1].clampRange(lo, hi)
-	p := newRangePlan(plo, phi, fam.same[1].planLevels)
-	for j, f := range fam.same {
-		if got, want := ok && f.execPlan(p), f.mayContainRangeRef(lo, hi); got != want {
-			t.Fatalf("filter %d: shared plan of [%d, %d] = %v, reference %v", j, lo, hi, got, want)
-		}
-	}
 	checkSet(t, fam, fmt.Sprintf("MayContainRange(%d, %d)", lo, hi),
+		func(f *Filter) bool { return f.mayContainRangeRef(lo, hi) },
 		func(f *Filter) bool { return f.MayContainRange(lo, hi) },
 		func(s *FilterSet) uint64 { return s.MayContainRange(lo, hi) })
 }
@@ -405,6 +472,93 @@ func TestRangePlanMatchesReference(t *testing.T) {
 			checkPlan(t, fam, lo, hi)
 			checkPoint(t, fam, lo)
 			checkPoint(t, fam, fam.keys[trial%len(fam.keys)])
+		}
+	}
+}
+
+// TestHashOverrideInSets probes a filter whose hash a test overrides, as
+// the worked examples' tests do, alone and in live and frozen sets with
+// another layout's lanes. It shares no plan, so it is probed as a group of
+// one through the mask tests, which must not read the other group's lanes.
+func TestHashOverrideInSets(t *testing.T) {
+	cfg := Config{Domain: 24, Deltas: []int{7, 7}, SegBits: []uint64{2048}, Exact: true}
+	rng := rand.New(rand.NewSource(16))
+	var fs []*Filter
+	for j := 0; j < 3; j++ {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == 1 {
+			f.hashOverride = func(layer, replica int, g uint64) uint64 { return g*2654435761 + uint64(layer) }
+		}
+		for n := 0; n < 200; n++ {
+			f.Insert(rng.Uint64() & lowMask(24))
+		}
+		fs = append(fs, f)
+	}
+	live, frozen := NewFilterSet(fs), newFrozenFilterSet(fs, 1<<20)
+	if !frozen.hasLanes() || frozen.others != 1<<1 {
+		t.Fatalf("frozen set: lanes %v, others %#x; want lanes and filter 1 alone", frozen.hasLanes(), frozen.others)
+	}
+	for q := 0; q < 5000; q++ {
+		lo := rng.Uint64() & lowMask(24)
+		hi := lo + rng.Uint64()%(1<<uint(rng.Intn(16)))
+		var wantPoint, wantRange uint64
+		for j, f := range fs {
+			if got, want := f.MayContain(lo), f.mayContainRef(lo); got != want {
+				t.Fatalf("filter %d: MayContain(%d) = %v, reference %v", j, lo, got, want)
+			} else if want {
+				wantPoint |= 1 << j
+			}
+			if got, want := f.MayContainRange(lo, hi), f.mayContainRangeRef(lo, hi); got != want {
+				t.Fatalf("filter %d: MayContainRange(%d, %d) = %v, reference %v", j, lo, hi, got, want)
+			} else if want {
+				wantRange |= 1 << j
+			}
+		}
+		for _, s := range []*FilterSet{&live, &frozen} {
+			if got := s.MayContain(lo); got != wantPoint {
+				t.Fatalf("set (lanes: %v): MayContain(%d) = %#x, reference %#x", s.hasLanes(), lo, got, wantPoint)
+			}
+			if got := s.MayContainRange(lo, hi); got != wantRange {
+				t.Fatalf("set (lanes: %v): MayContainRange(%d, %d) = %#x, reference %#x", s.hasLanes(), lo, hi, got, wantRange)
+			}
+		}
+	}
+}
+
+// TestProbesZeroAlloc checks that warm point and range probes allocate
+// nothing: of single filters, whose probes run through their set of one,
+// and of live and frozen sets, with and without lanes, on the basic,
+// replicated, permuted and tuned (exact-layer) layouts.
+func TestProbesZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on the measured path")
+	}
+	fams := planFamilies(t)
+	for _, i := range []int{0, 1, 3, 6} {
+		fam := fams[i]
+		filters := []*Filter{fam.same[0], fam.foreign}
+		var sets []*FilterSet
+		for k := range fam.sets {
+			sets = append(sets, &fam.sets[k].live, &fam.sets[k].frozen)
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			x := fam.keys[n%len(fam.keys)] + uint64(n%2) // stored, or next to it
+			n++
+			for _, f := range filters {
+				f.MayContain(x)
+				f.MayContainRange(x, x+1000)
+			}
+			for _, s := range sets {
+				s.MayContain(x)
+				s.MayContainRange(x, x+1000)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("family %d: %v allocations per round of probes, want 0", i, allocs)
 		}
 	}
 }

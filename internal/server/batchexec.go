@@ -389,13 +389,6 @@ func (s *ShardedFilter) hashRanges(tab *shardTable, ranges [][2]uint64, out []bo
 		ss.rangeProbes.Add(uint64(len(ranges)))
 		fs = append(fs, ss.f)
 	}
-	if len(fs) == 1 {
-		// No plan to share: the single-filter traversal is cheaper.
-		for j, r := range ranges {
-			out[j] = fs[0].MayContainRange(r[0], r[1])
-		}
-		return
-	}
 	// Indexed, not appended: a set points into buf, which an append that
 	// could grow would move to the heap.
 	var setBuf [MaxShards / setBlock]core.FilterSet
