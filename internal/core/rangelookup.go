@@ -185,10 +185,17 @@ const maxSet = 64
 // masks.
 //
 // A set of filters that never change again (NewFrozenFilterSet) may also
-// keep one lane word per exact prefix, as a bit-sliced signature file
-// does: bit j of lane p is fs[j]'s exact bit p, for the filters that share
-// the plan. The exact layer's covering is then one load for all of them,
-// where it is one load per filter otherwise.
+// keep lanes, as a bit-sliced signature file does: one lane word per bit
+// position of a layer's bitmap, whose bit j is fs[j]'s bit there. The
+// exact layer's lanes hold every filter that shares the plan, a
+// probabilistic segment's lanes only those of fs[0]'s geometry, the ones
+// that put a hash at the same position. A laned covering is then one load
+// per replica for all of them, at an address that depends on the query
+// alone; the others that share the plan load their own words beside it.
+// Lanes go on the exact layer, then on the segments of layers k−1, k−2, …
+// in turn, and stop at the first layer whose segment's lanes would take
+// all of them past laneBudget times the memory of the filters that share
+// the plan.
 //
 // Build a set once for a fixed list of filters and probe it many times:
 // NewFilterSet decides which filters share what, and a probe allocates
@@ -200,12 +207,10 @@ type FilterSet struct {
 	// sameGeo for each of those that also shares its word indexes; others
 	// is the rest.
 	shared, sameGeo, others uint64
-	// The lanes of a frozen set, one per exact prefix: 32 bits wide for up
-	// to 32 filters and 64 bits above, in lanes32 or lanes64. A set has
-	// none when it is live, when its plan has no exact layer, or when the
-	// lanes would take more memory than its shared filters.
-	lanes32 []uint32
-	lanes64 []uint64
+	// lanes[i] holds the lanes of fs[0]'s layer i (i = k: the exact
+	// layer), or nil; layers of one segment share its lanes. It is nil in
+	// a live set and in a frozen set without lanes.
+	lanes []*laneArray
 }
 
 // NewFilterSet returns the set of fs, which it keeps; it panics for more
@@ -232,83 +237,129 @@ func NewFilterSet(fs []*Filter) FilterSet {
 // NewFrozenFilterSet returns the set of fs, as NewFilterSet does, for
 // filters that never change again: every Insert into them must have
 // returned before the call, and none may follow while the set is in use.
-// The set copies the shared filters' exact bitmaps into lanes when that
-// takes no more memory than the filters themselves, so a later insert
-// would be missed: a probe could answer false for a key it added. The
-// filters of a committed LSM table qualify; a server shard does not.
+// The set copies the bits of its top layers into lanes, as far as
+// laneBudget allows, so a later insert would be missed: a probe could
+// answer false for a key it added. The filters of a committed LSM table
+// qualify; a server shard does not.
 func NewFrozenFilterSet(fs []*Filter) FilterSet {
 	return newFrozenFilterSet(fs, laneBudget)
-}
-
-// newFrozenFilterSet is NewFrozenFilterSet with lanes allowed up to budget
-// times the memory of the shared filters; tests raise it so that small
-// sets carry lanes too.
-func newFrozenFilterSet(fs []*Filter, budget uint64) FilterSet {
-	s := NewFilterSet(fs)
-	if s.wantLanes(budget) {
-		for m := s.shared; m != 0; m &= m - 1 {
-			s.addLane(bits.TrailingZeros64(m))
-		}
-	}
-	return s
 }
 
 // laneBudget is how many times the memory of its shared filters a frozen
 // set's lanes may take.
 const laneBudget = 1
 
-// wantLanes reports whether s, a frozen set, should keep lanes: its plan
-// has an exact layer, and the lanes take no more than budget times the
-// memory of the filters that share it.
-func (s *FilterSet) wantLanes(budget uint64) bool {
-	f := s.fs[0]
-	if !f.hasExact {
-		return false
-	}
-	var filterBits uint64
+// newFrozenFilterSet is NewFrozenFilterSet with lanes allowed up to budget
+// times the memory of the shared filters; tests raise it so that small
+// sets carry lanes on every layer, and lower it to 0 for none.
+func newFrozenFilterSet(fs []*Filter, budget uint64) FilterSet {
+	s := NewFilterSet(fs)
+	f := fs[0]
+	var spare uint64 // lane bits left in the budget
 	for m := s.shared; m != 0; m &= m - 1 {
-		filterBits += s.fs[bits.TrailingZeros64(m)].SizeBits()
+		spare += fs[bits.TrailingZeros64(m)].SizeBits()
 	}
+	spare *= budget
 	width := uint64(32)
-	if len(s.fs) > 32 {
+	if len(fs) > 32 {
 		width = 64
 	}
-	return f.exact.size()*width <= budget*filterBits
-}
-
-// addLane ORs the exact bits of fs[j] into bit j of the lanes, which it
-// makes when s has none yet.
-func (s *FilterSet) addLane(j int) {
-	size := s.fs[0].exact.size()
-	if len(s.fs) <= 32 && s.lanes32 == nil {
-		s.lanes32 = make([]uint32, size)
-	} else if len(s.fs) > 32 && s.lanes64 == nil {
-		s.lanes64 = make([]uint64, size)
+	// lane returns the lanes of the bitmaps that at returns, for the filters
+	// in covers, or nil when they do not fit what is left of the budget.
+	lane := func(covers uint64, at func(g *Filter) *bitArray) *laneArray {
+		if n := at(f).size() * width; n <= spare {
+			spare -= n
+			return newLaneArray(fs, covers, width, at)
+		}
+		return nil
 	}
-	ex := &s.fs[j].exact
-	for i := range ex.words {
-		for w := atomic.LoadUint64(&ex.words[i]); w != 0; w &= w - 1 {
-			p := uint64(i)<<6 | uint64(bits.TrailingZeros64(w))
-			if s.lanes32 != nil {
-				s.lanes32[p] |= 1 << j
-			} else {
-				s.lanes64[p] |= 1 << j
-			}
+	lanes := make([]*laneArray, f.k+1)
+	if f.hasExact {
+		if lanes[f.k] = lane(s.shared, func(g *Filter) *bitArray { return &g.exact }); lanes[f.k] == nil {
+			return s
 		}
 	}
-	runtime.KeepAlive(s.fs[j])
+	bySeg := make([]*laneArray, len(f.segs))
+	for i := f.k - 1; i >= 0; i-- {
+		seg := f.segID[i]
+		if bySeg[seg] == nil {
+			if bySeg[seg] = lane(s.sameGeo, func(g *Filter) *bitArray { return &g.segs[seg] }); bySeg[seg] == nil {
+				break
+			}
+		}
+		lanes[i] = bySeg[seg]
+	}
+	if lanes[len(f.planLevels)-1] != nil { // the plan's top layer
+		s.lanes = lanes
+	}
+	return s
 }
 
-// hasLanes reports whether s keeps lanes.
-func (s *FilterSet) hasLanes() bool { return s.lanes32 != nil || s.lanes64 != nil }
+// laneArray holds the lanes of one bitmap of the filters in covers, which
+// keep it at the same positions: bit j of lane p is fs[j]'s bit p. Lanes
+// are 32 bits wide, in w32, for sets of up to 32 filters, and 64 bits
+// wide, in w64, above.
+type laneArray struct {
+	w32    []uint32
+	w64    []uint64
+	covers uint64
+}
 
-// lane returns the lane of exact prefix p, in a set that has lanes: bit j
-// is fs[j]'s exact bit p for each filter that shares the plan.
-func (s *FilterSet) lane(p uint64) uint64 {
-	if s.lanes32 != nil {
-		return uint64(s.lanes32[p])
+// newLaneArray returns the lanes of the bitmaps that at returns for the
+// filters of fs in covers, width bits wide.
+func newLaneArray(fs []*Filter, covers, width uint64, at func(g *Filter) *bitArray) *laneArray {
+	l := &laneArray{covers: covers}
+	n := at(fs[0]).size()
+	if width == 32 {
+		l.w32 = make([]uint32, n)
+	} else {
+		l.w64 = make([]uint64, n)
 	}
-	return s.lanes64[p]
+	for m := covers; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if l.w32 != nil {
+			orBits(l.w32, at(fs[j]).words, 1<<j)
+		} else {
+			orBits(l.w64, at(fs[j]).words, 1<<j)
+		}
+		runtime.KeepAlive(fs[j])
+	}
+	return l
+}
+
+// orBits ORs bit into lanes[p] for each bit p set in words.
+func orBits[T uint32 | uint64](lanes []T, words []uint64, bit T) {
+	for i := range words {
+		lw := lanes[i<<6:][:64]
+		for w := atomic.LoadUint64(&words[i]); w != 0; w &= w - 1 {
+			lw[bits.TrailingZeros64(w)&63] |= bit
+		}
+	}
+}
+
+// at returns lane p: bit j is fs[j]'s bit p for each filter in l.covers.
+func (l *laneArray) at(p uint64) uint64 {
+	if l.w32 != nil {
+		return uint64(l.w32[p])
+	}
+	return l.w64[p]
+}
+
+// test clears from cand the filters l covers whose bit p is clear, and
+// returns what is left of cand and those of it that l does not cover,
+// which the caller tests in their own words.
+func (l *laneArray) test(p, cand uint64) (left, rest uint64) {
+	cand &= l.at(p) | ^l.covers
+	return cand, cand &^ l.covers
+}
+
+// lanesOf returns the lanes of layer i for the group f leads, or nil.
+// Only fs[0]'s group has lanes: they hold its bits at its positions.
+func (s *FilterSet) lanesOf(f *Filter, i int) *laneArray {
+	if s.lanes == nil || f != s.fs[0] {
+		return nil
+	}
+	return s.lanes[i]
 }
 
 // laneRunMax is the longest run of exact prefixes that runEach tests in
@@ -499,16 +550,18 @@ func (f *Filter) run(alone bool, i int, pa, pb uint64, s *FilterSet, cand uint64
 // is set in cand, several of which share f's plan; it returns the mask of
 // those whose covering bit is set. The word group is hashed once per
 // replica for all of them, and the hash reduced once for those of f's
-// geometry. The test is branch-free, so that the filters' word loads
-// overlap. The lanes serve fs[0]'s group only: the filters that share its
-// plan.
+// geometry. On a laned layer those take one lane load per replica
+// together; the others load their own words. The test is branch-free, so
+// that the filters' word loads overlap.
 func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
+	ln := s.lanesOf(f, i)
 	if i == f.k {
-		if s.hasLanes() && f == fs[0] {
-			return cand & s.lane(prefix)
+		m := cand
+		if ln != nil {
+			cand, m = ln.test(prefix, cand)
 		}
-		for m := cand; m != 0; m &= m - 1 {
+		for ; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			w := fs[j].exact.loadWord(prefix)
 			cand &^= (^w >> (prefix & 63) & 1) << j
@@ -524,7 +577,11 @@ func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) u
 	for r := 0; r < f.replicas[i] && cand != 0; r++ {
 		h := f.hash(i, r, g)
 		s0, base0 := f.wordAt(i, h)
-		for m := cand; m != 0; m &= m - 1 {
+		m := cand
+		if ln != nil {
+			cand, m = ln.test(base0+off, cand)
+		}
+		for ; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			seg, base := s0, base0
 			if s.sameGeo&(1<<j) == 0 {
@@ -540,18 +597,24 @@ func (f *Filter) coveringEach(i int, prefix uint64, s *FilterSet, cand uint64) u
 // runEach is run on layer i for every filter in s whose bit is set in
 // cand, several of which share f's plan; it returns the mask of those with
 // a set bit in the run. Each word group is hashed once per replica for all
-// of them, and the hash reduced once for those of f's geometry.
+// of them, and the hash reduced once for those of f's geometry. A short
+// run on the exact layer is tested in its lanes, one load per prefix; on
+// a probabilistic layer a group is one word of each filter, where lanes
+// would take one load per bit of the group, so runs there load the
+// filters' own words.
 func (f *Filter) runEach(i int, pa, pb uint64, s *FilterSet, cand uint64) uint64 {
 	fs := s.fs
 	if i == f.k {
-		if s.hasLanes() && f == fs[0] && pb-pa < laneRunMax {
+		m := cand
+		if ln := s.lanesOf(f, i); ln != nil && pb-pa < laneRunMax {
 			var any uint64
 			for p := pa; p <= pb; p++ {
-				any |= s.lane(p)
+				any |= ln.at(p)
 			}
-			return cand & any
+			cand &= any | ^ln.covers
+			m = cand &^ ln.covers
 		}
-		for m := cand; m != 0; m &= m - 1 {
+		for ; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			if !fs[j].exact.anySet(pa, pb) {
 				cand &^= 1 << j

@@ -260,7 +260,7 @@ type planFamily struct {
 // famSets holds the two sets checkPlan and checkPoint probe over one list
 // of a family's filters: NewFilterSet(fs) and the frozen set of fs. The
 // frozen set is built with a raised lane budget, so that it carries lanes
-// whenever fs[0] has an exact layer.
+// on every layer of fs[0]'s plan.
 type famSets struct {
 	fs           []*Filter
 	live, frozen FilterSet
@@ -425,6 +425,9 @@ func FuzzRangePlan(f *testing.F) {
 		// Family 1's regrouped filter answers false here when it reads
 		// filter 0's word indexes instead of its own.
 		{1, 5326028, 6749190},
+		// Here a laned layer of family 1 answers wrongly when its
+		// second replica reads the lane at the first replica's position.
+		{1, 9045545, 9148306},
 	} {
 		f.Add(uint8(s[0]), s[1], s[2])
 	}
@@ -436,6 +439,9 @@ func FuzzRangePlan(f *testing.F) {
 		checkPoint(t, ff, ff.keys[hi%uint64(len(ff.keys))])
 	})
 }
+
+// hasLanes reports whether s keeps lanes on any layer.
+func (s *FilterSet) hasLanes() bool { return s.lanes != nil }
 
 // TestRangePlanMatchesReference runs checkPlan over random queries around
 // stored keys and across the domain in every family, and checkPoint at
@@ -457,9 +463,12 @@ func TestRangePlanMatchesReference(t *testing.T) {
 			}
 		}
 		for n, fss := range fam.sets {
-			// Built with the lane budget raised: lanes wherever there is
-			// an exact layer.
-			checkLanes(t, fmt.Sprintf("family %d, set %d", i, n), fss, fss.fs[0].hasExact)
+			// Built with the lane budget raised: lanes on every layer.
+			want := make([]bool, fss.fs[0].k+1)
+			for l := range fss.fs[0].planLevels {
+				want[l] = true
+			}
+			checkLanes(t, fmt.Sprintf("family %d, set %d", i, n), fss, want)
 		}
 		d := uint(fam.same[0].domain)
 		for trial := 0; trial < 3000; trial++ {
@@ -478,14 +487,20 @@ func TestRangePlanMatchesReference(t *testing.T) {
 
 // TestHashOverrideInSets probes a filter whose hash a test overrides, as
 // the worked examples' tests do, alone and in live and frozen sets with
-// another layout's lanes. It shares no plan, so it is probed as a group of
-// one through the mask tests, which must not read the other group's lanes.
+// another group's lanes on every layer. It shares no plan, so it is
+// probed as a group of one through the mask tests, which must not read
+// the other group's lanes: its segment is twice as large, so its
+// positions would run past them.
 func TestHashOverrideInSets(t *testing.T) {
 	cfg := Config{Domain: 24, Deltas: []int{7, 7}, SegBits: []uint64{2048}, Exact: true}
 	rng := rand.New(rand.NewSource(16))
 	var fs []*Filter
 	for j := 0; j < 3; j++ {
-		f, err := New(cfg)
+		c := cfg
+		if j == 1 {
+			c.SegBits = []uint64{4096}
+		}
+		f, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,9 +513,10 @@ func TestHashOverrideInSets(t *testing.T) {
 		fs = append(fs, f)
 	}
 	live, frozen := NewFilterSet(fs), newFrozenFilterSet(fs, 1<<20)
-	if !frozen.hasLanes() || frozen.others != 1<<1 {
-		t.Fatalf("frozen set: lanes %v, others %#x; want lanes and filter 1 alone", frozen.hasLanes(), frozen.others)
+	if frozen.others != 1<<1 {
+		t.Fatalf("frozen set: others %#x; want filter 1 alone", frozen.others)
 	}
+	checkLanes(t, "frozen set", famSets{fs: fs, live: live, frozen: frozen}, []bool{true, true, true})
 	for q := 0; q < 5000; q++ {
 		lo := rng.Uint64() & lowMask(24)
 		hi := lo + rng.Uint64()%(1<<uint(rng.Intn(16)))
@@ -561,35 +577,145 @@ func TestProbesZeroAlloc(t *testing.T) {
 			t.Errorf("family %d: %v allocations per round of probes, want 0", i, allocs)
 		}
 	}
+	// An LSM-shaped frozen set, with lanes on its exact layer and top
+	// segment at the default budget.
+	fs, _ := lsmShapedFilters(t)
+	s := NewFrozenFilterSet(fs)
+	if s.lanesOf(fs[0], fs[0].k-1) == nil {
+		t.Fatal("the LSM-shaped set has no segment lanes")
+	}
+	rng := rand.New(rand.NewSource(17))
+	allocs := testing.AllocsPerRun(100, func() {
+		x := rng.Uint64()
+		s.MayContain(x)
+		s.MayContainRange(x, x+lsmShapeRange-1)
+	})
+	if allocs != 0 {
+		t.Errorf("LSM-shaped set: %v allocations per round of probes, want 0", allocs)
+	}
 }
 
 // checkLanes checks the lanes of one famSets: the live set has none, and
-// the frozen set has them exactly when want says, 32 bits wide for up to
-// 32 filters and 64 above.
-func checkLanes(t *testing.T, what string, fss famSets, want bool) {
+// the frozen set has them on layer i of fs[0]'s plan (i = k: the exact
+// layer) exactly when want[i] says, 32 bits wide for up to 32 filters and
+// 64 above. The exact layer's lanes hold every filter that shares the
+// plan, a segment's only those of fs[0]'s geometry, and the layers of one
+// segment share its lanes.
+func checkLanes(t *testing.T, what string, fss famSets, want []bool) {
 	t.Helper()
 	if fss.live.hasLanes() {
 		t.Fatalf("%s: a live set has lanes", what)
 	}
-	fr := &fss.frozen
-	if fr.hasLanes() != want {
-		t.Fatalf("%s: frozen set has lanes %v, want %v", what, fr.hasLanes(), want)
+	fr, f := &fss.frozen, fss.fs[0]
+	for i, w := range want {
+		ln := fr.lanesOf(f, i)
+		if (ln != nil) != w {
+			t.Fatalf("%s: layer %d of %d has lanes %v, want %v", what, i, f.k, ln != nil, w)
+		}
+		if ln == nil {
+			continue
+		}
+		if (ln.w32 != nil) != (len(fss.fs) <= 32) || (ln.w32 == nil) == (ln.w64 == nil) {
+			t.Fatalf("%s: layer %d: %d filters in 32-bit lanes: %v", what, i, len(fss.fs), ln.w32 != nil)
+		}
+		covers, bitmap := fr.shared, &f.exact
+		if i < f.k {
+			covers, bitmap = fr.sameGeo, &f.segs[f.segID[i]]
+		}
+		if ln.covers != covers {
+			t.Fatalf("%s: layer %d's lanes cover %#x, want %#x", what, i, ln.covers, covers)
+		}
+		if n := uint64(max(len(ln.w32), len(ln.w64))); n != bitmap.size() {
+			t.Fatalf("%s: layer %d has %d lanes for %d bits", what, i, n, bitmap.size())
+		}
+		for up := i + 1; up < f.k; up++ {
+			if f.segID[up] == f.segID[i] && fr.lanesOf(f, up) != ln {
+				t.Fatalf("%s: layers %d and %d of one segment keep separate lanes", what, i, up)
+			}
+		}
 	}
-	if fr.hasLanes() && (fr.lanes32 != nil) != (len(fss.fs) <= 32) {
-		t.Fatalf("%s: %d filters in 32-bit lanes: %v", what, len(fss.fs), fr.lanes32 != nil)
+}
+
+// wantLaned returns which layers of fs[0]'s plan a frozen set of fs lanes
+// at budget: the exact layer, then the segments of layers k−1, k−2, … as
+// they first come up, until one would take the lanes past budget times
+// the bits of the filters that share the plan.
+func wantLaned(fs []*Filter, budget uint64) []bool {
+	f := fs[0]
+	var shared uint64
+	for _, g := range fs {
+		if g.sharesPlan(f) {
+			shared += g.SizeBits()
+		}
 	}
+	width := uint64(32)
+	if len(fs) > 32 {
+		width = 64
+	}
+	want := make([]bool, f.k+1)
+	var used uint64
+	if f.hasExact {
+		if used = f.exact.size() * width; used > budget*shared {
+			return want
+		}
+		want[f.k] = true
+	}
+	laned := map[int]bool{}
+	for i := f.k - 1; i >= 0; i-- {
+		seg := f.segID[i]
+		if !laned[seg] {
+			if used += f.segs[seg].size() * width; used > budget*shared {
+				break
+			}
+			laned[seg] = true
+		}
+		want[i] = true
+	}
+	return want
+}
+
+// laneBytes returns the bytes of the lanes of a frozen set, each segment's
+// counted once.
+func laneBytes(s *FilterSet) int {
+	seen := map[*laneArray]bool{}
+	n := 0
+	for _, ln := range s.lanes {
+		if ln != nil && !seen[ln] {
+			seen[ln] = true
+			n += 4*len(ln.w32) + 8*len(ln.w64)
+		}
+	}
+	return n
 }
 
 // TestFrozenSetLaneBudget builds frozen sets of 1 to 40 tuned filters
 // sized as LSM tables are, as an LSM store does after each flush: a set
-// keeps lanes from the size where they take no more memory than its
-// filters, it answers as the live set does, and a live set never has
-// lanes.
+// keeps lanes on its exact layer from the size where they take no more
+// memory than its filters, and on its top segment from the size where
+// both do (wantLaned); it answers as the live set does, and a live set
+// never has lanes. A last row holds the LSM benchmark's shape.
 func TestFrozenSetLaneBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var fs []*Filter
 	var stored []uint64 // some keys of every filter, for positive probes
-	first := 0          // the size of the first set with lanes
+	var first [3]int    // the size of the first set with lanes on the exact layer, layer k−1, layer 0
+	check := func(what string, fs []*Filter, frozen FilterSet, want []bool) {
+		t.Helper()
+		live := NewFilterSet(fs)
+		checkLanes(t, what, famSets{fs: fs, live: live, frozen: frozen}, want)
+		for q := 0; q < 200; q++ {
+			x := rng.Uint64()
+			if q%2 == 1 {
+				x = stored[q%len(stored)]
+			}
+			if got, want := frozen.MayContain(x), live.MayContain(x); got != want {
+				t.Fatalf("%s: MayContain(%#x) = %#x, live set %#x", what, x, got, want)
+			}
+			if got, want := frozen.MayContainRange(x, x+1<<10), live.MayContainRange(x, x+1<<10); got != want {
+				t.Fatalf("%s: MayContainRange(%#x, +2^10) = %#x, live set %#x", what, x, got, want)
+			}
+		}
+	}
 	for n := 1; n <= 40; n++ {
 		f, _, err := NewTuned(TuneOptions{N: 20_000, BitsPerKey: 16, MaxRange: 1 << 10})
 		if err != nil {
@@ -606,41 +732,73 @@ func TestFrozenSetLaneBudget(t *testing.T) {
 			t.Fatal("the tuned layout has no exact layer")
 		}
 		fs = append(fs, f)
-		frozen := NewFrozenFilterSet(fs)
-		live := NewFilterSet(fs)
-		if live.hasLanes() {
-			t.Fatalf("%d filters: a live set has lanes", n)
+		want := wantLaned(fs, laneBudget)
+		for l, i := range []int{f.k, f.k - 1, 0} {
+			if want[i] && first[l] == 0 {
+				first[l] = n
+			}
 		}
-		width := uint64(32)
-		if n > 32 {
-			width = 64
+		check(fmt.Sprintf("%d filters", n), fs, NewFrozenFilterSet(fs), want)
+	}
+	t.Logf("lanes on the exact layer from %d filters on, on layer k−1 from %d, on layer 0 from %d (0: never)", first[0], first[1], first[2])
+	if first[0] <= 1 || first[0] > 32 || first[1] <= first[0] || first[1] > 32 {
+		t.Fatalf("lanes first kept at %d filters on the exact layer and %d on layer k−1, want 1 < exact < k−1 ≤ 32", first[0], first[1])
+	}
+
+	// The LSM benchmark's shape: the exact layer and segment 0 (layers
+	// 6–8) are laned, segment 1 (layers 0–5) is not.
+	lsm, lsmKeys := lsmShapedFilters(t)
+	frozen := NewFrozenFilterSet(lsm)
+	f := lsm[0]
+	want := make([]bool, f.k+1)
+	for i := range want {
+		want[i] = i == f.k || f.segID[i] == f.segID[f.k-1]
+	}
+	if f.k != 9 || f.segID[5] == f.segID[6] || f.segID[6] != f.segID[8] {
+		t.Fatalf("the LSM shape's layout changed: %d layers in segments %v", f.k, f.segID)
+	}
+	stored = lsmKeys
+	check("LSM shape", lsm, frozen, want)
+	var filterBytes uint64
+	for _, g := range lsm {
+		filterBytes += g.SizeBits() / 8
+	}
+	t.Logf("LSM shape: %d filters of %d bytes together, lanes %d bytes (exact layer %d)",
+		len(lsm), filterBytes, laneBytes(&frozen), 4*f.exact.size())
+}
+
+// The LSM benchmark's shape (bench/lsm.go): 25 tables with bloomRF
+// filters tuned for 16 bits per key and ranges of 2^10, the first 24 of
+// 20,972 keys and the last of 20,960, which puts it in another geometry.
+const (
+	lsmShapeTables = 25
+	lsmShapeRange  = 1 << 10
+)
+
+// lsmShapedFilters builds the filters of the LSM benchmark's shape over
+// random keys, and returns them with a few of each one's keys.
+func lsmShapedFilters(tb testing.TB) (fs []*Filter, stored []uint64) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(18))
+	for j := 0; j < lsmShapeTables; j++ {
+		n := 20_972
+		if j == lsmShapeTables-1 {
+			n = 20_960
 		}
-		var filterBits uint64
-		for _, g := range fs {
-			filterBits += g.SizeBits()
+		f, _, err := NewTuned(TuneOptions{N: uint64(n), BitsPerKey: 16, MaxRange: lsmShapeRange})
+		if err != nil {
+			tb.Fatal(err)
 		}
-		want := f.exact.size()*width <= laneBudget*filterBits
-		if want && first == 0 {
-			first = n
-		}
-		checkLanes(t, fmt.Sprintf("%d filters", n), famSets{fs: fs, live: live, frozen: frozen}, want)
-		for q := 0; q < 200; q++ {
+		for i := 0; i < n; i++ {
 			x := rng.Uint64()
-			if q%2 == 1 {
-				x = stored[q%len(stored)]
-			}
-			if got, want := frozen.MayContain(x), live.MayContain(x); got != want {
-				t.Fatalf("%d filters: MayContain(%#x) = %#x, live set %#x", n, x, got, want)
-			}
-			if got, want := frozen.MayContainRange(x, x+1<<10), live.MayContainRange(x, x+1<<10); got != want {
-				t.Fatalf("%d filters: MayContainRange(%#x, +2^10) = %#x, live set %#x", n, x, got, want)
+			f.Insert(x)
+			if i%4096 == 0 {
+				stored = append(stored, x)
 			}
 		}
+		fs = append(fs, f)
 	}
-	t.Logf("lanes from %d filters on, %d exact prefixes", first, fs[0].exact.size())
-	if first <= 1 || first > 32 {
-		t.Fatalf("lanes first kept at %d filters, want between 2 and 32", first)
-	}
+	return fs, stored
 }
 
 // TestPlanKeySeparatesLayouts changes one field of a 14-layer layout at a
@@ -734,5 +892,40 @@ func BenchmarkMayContainRange(b *testing.B) {
 			}
 		}
 	})
+	_ = sink
+}
+
+// BenchmarkLSMFrozenSet probes the frozen set of the LSM benchmark's
+// shape with empty scans of width 2^10 and with points it misses, once
+// without lanes (budget 0) and once at the default budget (the exact
+// layer and the top segment laned). Almost every random query misses
+// every filter.
+func BenchmarkLSMFrozenSet(b *testing.B) {
+	fs, _ := lsmShapedFilters(b)
+	rng := rand.New(rand.NewSource(19))
+	qs := make([]uint64, 4096)
+	for i := range qs {
+		qs[i] = rng.Uint64()
+	}
+	sets := []struct {
+		name string
+		s    FilterSet
+	}{{"no-lanes", newFrozenFilterSet(fs, 0)}, {"lanes", NewFrozenFilterSet(fs)}}
+	var sink uint64
+	for _, c := range sets {
+		b.Run("empty-scan/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := qs[i&(len(qs)-1)]
+				sink |= c.s.MayContainRange(lo, lo+lsmShapeRange-1)
+			}
+		})
+	}
+	for _, c := range sets {
+		b.Run("missed-point/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink |= c.s.MayContain(qs[i&(len(qs)-1)])
+			}
+		})
+	}
 	_ = sink
 }
